@@ -66,6 +66,13 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// HTTP timeouts of ListenAndServe: a client that opens a connection and
+// never finishes its headers, or leaves it idle, does not hold it forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Event is one line of a job's progress stream.
 type Event struct {
 	Type       string          `json:"type"` // queued | experiment-start | experiment-done | done | failed | stopped
@@ -153,6 +160,9 @@ type Server struct {
 	jobs   map[string]*job
 	order  []string
 	nextID int
+
+	// headerTimeout is readHeaderTimeout; tests shorten it.
+	headerTimeout time.Duration
 }
 
 // New builds a Server, resuming a prior grid checkpoint when configured.
@@ -164,7 +174,8 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{cfg: cfg, ctx: ctx, cancel: cancel, jobs: map[string]*job{}, nextID: 1}
+	s := &Server{cfg: cfg, ctx: ctx, cancel: cancel, jobs: map[string]*job{}, nextID: 1,
+		headerTimeout: readHeaderTimeout}
 	if cfg.Resume && cfg.CheckpointPath != "" {
 		if err := s.loadCheckpoint(cfg.CheckpointPath); err != nil {
 			cancel()
@@ -569,7 +580,11 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 		return err
 	}
 	s.cfg.Logf("daemon: listening on %s", ln.Addr())
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: s.headerTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

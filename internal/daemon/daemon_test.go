@@ -3,9 +3,11 @@ package daemon
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -476,5 +478,60 @@ func TestConcurrentJobsShareTraceCache(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health["tracecache_streams"].(float64) <= 0 {
 		t.Fatalf("healthz does not surface cache stats: %v", health)
+	}
+}
+
+// TestListenAndServeClosesStalledHeaders opens a connection that never
+// finishes its request headers: the server must close it once
+// ReadHeaderTimeout passes, while a complete request is still served.
+func TestListenAndServeClosesStalledHeaders(t *testing.T) {
+	addrc := make(chan string, 1)
+	s, err := New(Config{
+		Logf: func(format string, args ...any) {
+			if strings.HasPrefix(format, "daemon: listening on") {
+				addrc <- fmt.Sprint(args...)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.headerTimeout = 200 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.ListenAndServe(ctx, "127.0.0.1:0") }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("ListenAndServe: %v", err)
+		}
+	}()
+	addr := <-addrc
+
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d", resp.StatusCode)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled connection still open after %v", time.Since(start))
+	}
+	if err != io.EOF || n != 0 {
+		t.Fatalf("read = %d, %v; want the server to close the connection", n, err)
 	}
 }

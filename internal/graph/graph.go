@@ -9,7 +9,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // CSR is a directed graph in compressed sparse row form. OutIndex has N+1
@@ -55,45 +54,59 @@ type Edge struct{ Src, Dst uint32 }
 
 // FromEdges builds a CSR (with both directions indexed) from an edge list.
 // Duplicate edges are kept (they model multi-edges' extra accesses, which is
-// harmless) but self-loops are dropped.
+// harmless) but self-loops and out-of-range endpoints are dropped. Every
+// adjacency list comes out sorted, for deterministic traversal order.
+//
+// Construction is a linear-time counting sort: the kept edges are bucketed
+// by destination, the destinations are walked in ascending order to scatter
+// each source's out-list (sorted by destination), and the sources are then
+// walked in ascending order to rebuild each in-list (sorted by source).
 func FromEdges(n int, edges []Edge) *CSR {
 	g := &CSR{N: n}
-	outDeg := make([]uint64, n+1)
-	inDeg := make([]uint64, n+1)
+	outIdx := make([]uint64, n+1)
+	inIdx := make([]uint64, n+1)
 	kept := 0
 	for _, e := range edges {
 		if e.Src == e.Dst || int(e.Src) >= n || int(e.Dst) >= n {
 			continue
 		}
-		outDeg[e.Src+1]++
-		inDeg[e.Dst+1]++
+		outIdx[e.Src+1]++
+		inIdx[e.Dst+1]++
 		kept++
 	}
 	for i := 0; i < n; i++ {
-		outDeg[i+1] += outDeg[i]
-		inDeg[i+1] += inDeg[i]
+		outIdx[i+1] += outIdx[i]
+		inIdx[i+1] += inIdx[i]
 	}
-	g.OutIndex = outDeg
-	g.InIndex = inDeg
+	g.OutIndex, g.InIndex = outIdx, inIdx
 	g.OutNeighbor = make([]uint32, kept)
 	g.InNeighbor = make([]uint32, kept)
-	outPos := make([]uint64, n)
-	inPos := make([]uint64, n)
+	pos := make([]uint64, n)
+
+	// Bucket by destination: in-lists in edge order.
+	copy(pos, inIdx)
 	for _, e := range edges {
 		if e.Src == e.Dst || int(e.Src) >= n || int(e.Dst) >= n {
 			continue
 		}
-		g.OutNeighbor[g.OutIndex[e.Src]+outPos[e.Src]] = e.Dst
-		outPos[e.Src]++
-		g.InNeighbor[g.InIndex[e.Dst]+inPos[e.Dst]] = e.Src
-		inPos[e.Dst]++
+		g.InNeighbor[pos[e.Dst]] = e.Src
+		pos[e.Dst]++
 	}
-	// Sort adjacency lists for deterministic traversal order.
+	// Ascending destinations fill each out-list in sorted order.
+	copy(pos, outIdx)
+	for v := 0; v < n; v++ {
+		for _, u := range g.InNeighbor[inIdx[v]:inIdx[v+1]] {
+			g.OutNeighbor[pos[u]] = uint32(v)
+			pos[u]++
+		}
+	}
+	// Ascending sources rebuild each in-list in sorted order.
+	copy(pos, inIdx)
 	for u := 0; u < n; u++ {
-		out := g.Out(uint32(u))
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		in := g.In(uint32(u))
-		sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
+		for _, v := range g.OutNeighbor[outIdx[u]:outIdx[u+1]] {
+			g.InNeighbor[pos[v]] = uint32(u)
+			pos[v]++
+		}
 	}
 	return g
 }
@@ -196,20 +209,28 @@ func WebGraph(n int, avgDeg int, seed int64) *CSR {
 // (high) degree are grouped together — the DBG preprocessing (Faldu et al.)
 // the paper's "sorted" datasets use, which coalesces hot vertex data onto
 // the same pages. It returns a new graph plus the mapping old->new.
+//
+// New IDs follow descending total degree, ties in old-ID order (a stable
+// sort), computed as a counting sort over degrees.
 func DegreeBasedGrouping(g *CSR) (*CSR, []uint32) {
-	type vd struct {
-		v   uint32
-		deg uint64
+	deg := make([]uint64, g.N)
+	var maxDeg uint64
+	for u := range deg {
+		deg[u] = g.OutDegree(uint32(u)) + g.InDegree(uint32(u))
+		maxDeg = max(maxDeg, deg[u])
 	}
-	vs := make([]vd, g.N)
-	for u := 0; u < g.N; u++ {
-		vs[u] = vd{v: uint32(u), deg: g.OutDegree(uint32(u)) + g.InDegree(uint32(u))}
+	// next[maxDeg-d] is the next new ID for a vertex of degree d.
+	next := make([]uint32, maxDeg+2)
+	for _, d := range deg {
+		next[maxDeg-d+1]++
 	}
-	// Stable sort by descending degree groups hot vertices at low IDs.
-	sort.SliceStable(vs, func(i, j int) bool { return vs[i].deg > vs[j].deg })
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
 	remap := make([]uint32, g.N)
-	for newID, e := range vs {
-		remap[e.v] = uint32(newID)
+	for u, d := range deg {
+		remap[u] = next[maxDeg-d]
+		next[maxDeg-d]++
 	}
 	edges := make([]Edge, 0, g.NumEdges())
 	for u := 0; u < g.N; u++ {

@@ -233,3 +233,24 @@ func TestCSRString(t *testing.T) {
 		t.Error("must stringify")
 	}
 }
+
+// benchSink keeps the benchmarked constructions from being optimized away.
+var benchSink *CSR
+
+// BenchmarkKronecker times generating and building the scale-15 Kronecker
+// graph the benchmark grids run on.
+func BenchmarkKronecker(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchSink = Kronecker(15, 16, 42)
+	}
+}
+
+// BenchmarkDegreeBasedGrouping times the DBG reorder of that graph, the
+// derivation of every "sorted" dataset variant.
+func BenchmarkDegreeBasedGrouping(b *testing.B) {
+	g := Kronecker(15, 16, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = DegreeBasedGrouping(g)
+	}
+}

@@ -116,19 +116,13 @@ func (h *Hierarchy) Access(a mem.VirtAddr, size mem.PageSize) Result {
 	return Miss
 }
 
-// CountL1Hits records n L1 hits for the given page size on behalf of an
-// external MRU filter (the vmm step-level L0 filter), without probing or
-// re-stamping any entry. The caller guarantees each counted access would
-// have hit the same already-MRU L1 entry, so skipping the scan and the
-// recency refresh is invisible to every replacement decision; only the
-// counters the experiments report move.
-func (h *Hierarchy) CountL1Hits(size mem.PageSize, n uint64) {
-	h.CountL1HitsIndexed(sizeIndex(size), n)
-}
-
-// CountL1HitsIndexed is CountL1Hits with the size class pre-resolved to its
-// sizeIndex (0 = 4KB, 1 = 2MB, 2 = 1GB), for callers that already carry the
-// index and want to skip the size switch on the per-access hot path.
+// CountL1HitsIndexed records n L1 hits for the size class with the given
+// sizeIndex (0 = 4KB, 1 = 2MB, 2 = 1GB) on behalf of an external MRU filter
+// (the vmm step-level L0 filter), without probing or re-stamping any entry.
+// The caller guarantees each counted access would have hit the same
+// already-MRU L1 entry, so skipping the scan and the recency refresh is
+// invisible to every replacement decision; only the counters the
+// experiments report move.
 func (h *Hierarchy) CountL1HitsIndexed(si int, n uint64) {
 	h.accesses += n
 	h.l1[si].CountHit(n)

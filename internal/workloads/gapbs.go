@@ -315,26 +315,23 @@ const (
 	DatasetWeb GraphDataset = "web"
 )
 
-// BuildDataset constructs the named dataset at the given scale
-// (2^scale vertices), optionally applying degree-based grouping ("sorted").
-// Deterministic per (dataset, scale, sorted).
-func BuildDataset(d GraphDataset, scale int, sorted bool) (*graph.CSR, error) {
-	var g *graph.CSR
+// generateDataset runs the named dataset's generator at the given scale
+// (2^scale vertices). Deterministic per (dataset, scale). Only the dataset
+// cache calls it; everything else goes through BuildDataset.
+func generateDataset(d GraphDataset, scale int) (*graph.CSR, error) {
+	if dsBuildHook != nil {
+		dsBuildHook(graphKey{d: d, scale: scale})
+	}
 	n := 1 << scale
 	switch d {
 	case DatasetKron:
-		g = graph.Kronecker(scale, 16, 42)
+		return graph.Kronecker(scale, 16, 42), nil
 	case DatasetSocial:
-		g = graph.SocialNetwork(n, 16, 43)
+		return graph.SocialNetwork(n, 16, 43), nil
 	case DatasetWeb:
-		g = graph.WebGraph(n, 16, 44)
-	default:
-		return nil, fmt.Errorf("workloads: unknown dataset %q", d)
+		return graph.WebGraph(n, 16, 44), nil
 	}
-	if sorted {
-		g, _ = graph.DegreeBasedGrouping(g)
-	}
-	return g, nil
+	return nil, fmt.Errorf("workloads: unknown dataset %q", d)
 }
 
 // randFor returns the deterministic RNG for a workload name (synthetic app

@@ -112,9 +112,10 @@ func AppNames() []string {
 // GraphAppNames lists the TLB-sensitive graph kernels.
 func GraphAppNames() []string { return []string{"BFS", "SSSP", "PR"} }
 
-// Build instantiates a workload from a spec. Graph construction is
-// deterministic and cached per (dataset, scale, sorted) so repeated builds
-// in a sweep are cheap.
+// Build instantiates a workload from a spec. A graph kernel's input comes
+// from BuildDataset, so every workload of one (dataset, scale, sorted) key
+// shares one cached, immutable graph and repeated builds in a sweep are
+// cheap.
 func Build(s Spec) (Workload, error) {
 	switch s.Name {
 	case "BFS", "SSSP", "PR", "CC":
@@ -161,7 +162,7 @@ func buildGraphApp(s Spec) (Workload, error) {
 	if d == "" {
 		d = DatasetKron
 	}
-	g, err := cachedDataset(d, scale, s.Sorted)
+	g, err := BuildDataset(d, scale, s.Sorted)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +197,7 @@ func TableInfo(scale int) ([]Info, error) {
 			if err != nil {
 				return nil, err
 			}
-			g, err := cachedDataset(d, scale, false)
+			g, err := BuildDataset(d, scale, false)
 			if err != nil {
 				return nil, err
 			}
@@ -256,10 +257,19 @@ var (
 	dsMu       sync.Mutex
 	dsCache    = map[graphKey]*graph.CSR{}
 	dsInflight = map[graphKey]chan struct{}{}
+	// dsBuildHook, when set, is called before every generator run (with an
+	// unsorted key) and every DBG pass (with a sorted key); tests count
+	// graph constructions with it.
+	dsBuildHook func(graphKey)
 )
 
-// cachedDataset memoizes BuildDataset so parameter sweeps reuse graphs.
-func cachedDataset(d GraphDataset, scale int, sorted bool) (*graph.CSR, error) {
+// BuildDataset returns the named dataset at the given scale (2^scale
+// vertices), optionally reordered by degree-based grouping ("sorted").
+// Each (dataset, scale, sorted) key is built once and cached: every caller
+// of a key gets the same immutable *graph.CSR, which it must not mutate.
+// The sorted variant is DBG applied to the cached unsorted graph, never a
+// second generator run. Deterministic per key.
+func BuildDataset(d GraphDataset, scale int, sorted bool) (*graph.CSR, error) {
 	k := graphKey{d: d, scale: scale, sorted: sorted}
 	for {
 		dsMu.Lock()
@@ -277,7 +287,7 @@ func cachedDataset(d GraphDataset, scale int, sorted bool) (*graph.CSR, error) {
 		dsInflight[k] = done
 		dsMu.Unlock()
 
-		g, err := BuildDataset(d, scale, sorted)
+		g, err := buildDatasetEntry(k)
 
 		dsMu.Lock()
 		delete(dsInflight, k)
@@ -308,4 +318,21 @@ func cachedDataset(d GraphDataset, scale int, sorted bool) (*graph.CSR, error) {
 		dsMu.Unlock()
 		return g, nil
 	}
+}
+
+// buildDatasetEntry constructs one cache entry: a generator run for an
+// unsorted key, a DBG pass over the cached unsorted graph for a sorted one.
+func buildDatasetEntry(k graphKey) (*graph.CSR, error) {
+	if !k.sorted {
+		return generateDataset(k.d, k.scale)
+	}
+	g, err := BuildDataset(k.d, k.scale, false)
+	if err != nil {
+		return nil, err
+	}
+	if dsBuildHook != nil {
+		dsBuildHook(k)
+	}
+	g, _ = graph.DegreeBasedGrouping(g)
+	return g, nil
 }
