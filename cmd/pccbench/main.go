@@ -56,6 +56,7 @@ func main() {
 		audit      = flag.Bool("audit", false, "verify machine invariants every policy tick and print the metrics snapshot")
 		eventsFile = flag.String("events", "", "write the simulation event trace to this file")
 		pprofAddr  = flag.String("pprof", "", "serve Go pprof endpoints on this address while running")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
 
@@ -67,6 +68,19 @@ func main() {
 		}
 		defer stop()
 		fmt.Printf("(pprof listening on http://%s/debug/pprof/)\n", addr)
+	}
+	if *cpuProf != "" {
+		stop, err := obs.StartCPUProfile(*cpuProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pccbench: -cpuprofile:", err)
+			os.Exit(1)
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(os.Stderr, "pccbench: -cpuprofile:", err)
+				os.Exit(1)
+			}
+		}()
 	}
 
 	// benchRun is everything one simulation produces that the reports below

@@ -12,7 +12,8 @@
 // the three-dataset geomean configuration the paper uses. Observability
 // flags: -audit arms the per-tick invariant auditor and prints the merged
 // metrics snapshot, -events writes the simulation event trace to a file,
-// -pprof serves the Go profiling endpoints while experiments run.
+// -pprof serves the Go profiling endpoints while experiments run, and
+// -cpuprofile writes a CPU profile of the experiments to a file.
 // Performance flags: -workers parallelizes the grid simulations and
 // -tracecache bounds the shared trace record/replay cache (0 disables it);
 // neither changes any experiment's output.
@@ -46,7 +47,7 @@ func main() {
 
 // run is main with its dependencies injected, so CLI behaviour (flag
 // validation, exit codes, output) is unit-testable.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("pccsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -64,6 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		audit     = fs.Bool("audit", false, "verify machine invariants every policy tick and print the merged metrics snapshot")
 		events    = fs.String("events", "", "write the simulation event trace (promotions, PCC dumps, compactions, shootdowns) to this file")
 		pprofAddr = fs.String("pprof", "", "serve Go pprof endpoints on this address (e.g. localhost:6060) while running")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
 		tenants   = fs.Int("tenants", 0, "restrict figtenant to this tenant count (0 = sweep 2 and 4)")
 		churn     = fs.Int("churn-procs", 0, "cap on concurrent churn processes in figtenant's lifecycle cells (0 = default)")
 		skew      = fs.String("quota-skew", "", "restrict figtenant's quota split: even or skewed (default: sweep both)")
@@ -207,6 +209,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer stop()
 		fmt.Fprintf(stdout, "(pprof listening on http://%s/debug/pprof/)\n", addr)
+	}
+	if *cpuProf != "" {
+		stop, err := obs.StartCPUProfile(*cpuProf)
+		if err != nil {
+			fmt.Fprintf(stderr, "pccsim: -cpuprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintf(stderr, "pccsim: -cpuprofile: %v\n", err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
 	}
 
 	// -audit implies full observability: metrics registry and event sink,

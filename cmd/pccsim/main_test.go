@@ -109,3 +109,33 @@ func TestServeRefusesCorruptCheckpoint(t *testing.T) {
 		t.Errorf("stderr must name the corrupt checkpoint:\n%s", errOut.String())
 	}
 }
+
+// TestCPUProfileWritesProfile: -cpuprofile leaves a non-empty pprof profile
+// (gzip-framed protobuf) behind after a successful run.
+func TestCPUProfileWritesProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	var out, errOut strings.Builder
+	if code := run([]string{"-exp", "fig1", "-quick", "-cpuprofile", path}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is %d bytes, not gzip-framed", len(data))
+	}
+}
+
+// TestCPUProfileBadPathFails: an unwritable profile path is an error before
+// any experiment runs.
+func TestCPUProfileBadPathFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "no-such-dir", "cpu.pprof")
+	var out, errOut strings.Builder
+	if code := run([]string{"-exp", "fig1", "-quick", "-cpuprofile", path}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), "-cpuprofile") || strings.Contains(out.String(), "completed in") {
+		t.Errorf("stderr %q, stdout %q", errOut.String(), out.String())
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	rtpprof "runtime/pprof"
 	"time"
 )
 
@@ -29,6 +31,24 @@ func StartPprof(addr string) (string, func(), error) {
 	go srv.Serve(ln) //nolint:errcheck // Serve returns on Close; nothing to report.
 	stop := func() { srv.Close() }
 	return ln.Addr().String(), stop, nil
+}
+
+// StartCPUProfile starts a CPU profile written to path and returns the
+// function that stops it and closes the file. The CLIs' -cpuprofile flag
+// wraps a whole run in it, so profiling a grid needs no live -pprof server.
+func StartCPUProfile(path string) (func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := rtpprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		rtpprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // handleHealthz reports liveness plus the Default registry's snapshot, so a

@@ -58,19 +58,21 @@ func (r Result) String() string {
 }
 
 // Hierarchy is the per-core data-TLB hierarchy: three split L1 structures
-// (one per page size) backed by a unified L2. A lookup probes the L1 for the
-// page size the address is currently mapped at, then the L2, and reports
-// where it hit. Fills are performed on the way back (L2 then L1), modelling
-// an inclusive fill path.
+// (one per page size) backed by a unified L2. A translation probes the L1
+// for the page size the address is currently mapped at, then the L2, and
+// reports where it hit. Fills are performed on the way back (L2 then L1),
+// modelling an inclusive fill path.
 type Hierarchy struct {
-	l1        [3]*TLB // indexed by sizeIndex
+	l1        [3]*TLB // indexed by SizeIndex
 	l2        *TLB
 	l2Holds1G bool
 	accesses  uint64
 	walks     uint64
 }
 
-func sizeIndex(s mem.PageSize) int {
+// SizeIndex returns the index of a page size in the hierarchy's split L1
+// (0 = 4KB, 1 = 2MB, 2 = 1GB), the si that Translate takes.
+func SizeIndex(s mem.PageSize) int {
 	switch s {
 	case mem.Page4K:
 		return 0
@@ -80,6 +82,13 @@ func sizeIndex(s mem.PageSize) int {
 		return 2
 	}
 	panic(fmt.Sprintf("tlb: invalid page size %v", s))
+}
+
+// PageNumber returns the page number of a at the page size with index si:
+// mem.PageNumber for callers that already hold the size index, as a shift
+// rather than a switch.
+func PageNumber(a mem.VirtAddr, si int) mem.PageNum {
+	return mem.PageNum(uint64(a) >> (12 + 9*uint(si)))
 }
 
 // NewHierarchy builds the per-core hierarchy from cfg.
@@ -95,54 +104,53 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 }
 
-// Access translates address a, which is currently mapped with page size
-// size. It returns where the translation was found. On a full miss the
-// caller is responsible for walking the page table and then calling Fill.
-func (h *Hierarchy) Access(a mem.VirtAddr, size mem.PageSize) Result {
+// Translate looks up page vpn, mapped at the page size with index si (see
+// SizeIndex), and reports where it was found. Every level it misses is
+// filled on the way back: an L2 hit fills the L1, and a full miss — which
+// the caller resolves with a page table walk — fills the L2, then the L1.
+//
+// The fill happens before the walk it models, which is sound because a
+// walk never touches the TLB. Each level is probed once: the probe that
+// misses also picks the way the fill replaces, and the set cannot change
+// in between. Ticks, counters and the OnEvict sequence are exactly
+// those of a Lookup miss followed by an Insert at each filled level.
+func (h *Hierarchy) Translate(vpn mem.PageNum, si int) Result {
 	h.accesses++
-	vpn := mem.PageNumber(a, size)
-	l1 := h.l1[sizeIndex(size)]
-	if l1.Lookup(vpn, size) {
+	tag := tagOf(vpn, si)
+	l1 := h.l1[si]
+	w1, hit := l1.lookup(tag)
+	if hit {
 		return HitL1
 	}
-	if size != mem.Page1G || h.l2Holds1G {
-		if h.l2.Lookup(vpn, size) {
-			// Fill into L1 on an L2 hit.
-			l1.Insert(vpn, size)
+	if si != 2 || h.l2Holds1G {
+		w2, hit := h.l2.lookup(tag)
+		if hit {
+			l1.fill(w1, tag)
 			return HitL2
 		}
+		h.l2.fill(w2, tag)
 	}
 	h.walks++
+	l1.fill(w1, tag)
 	return Miss
 }
 
 // CountL1HitsIndexed records n L1 hits for the size class with the given
-// sizeIndex (0 = 4KB, 1 = 2MB, 2 = 1GB) on behalf of an external MRU filter
-// (the vmm step-level L0 filter), without probing or re-stamping any entry.
-// The caller guarantees each counted access would have hit the same
-// already-MRU L1 entry, so skipping the scan and the recency refresh is
-// invisible to every replacement decision; only the counters the
-// experiments report move.
+// SizeIndex on behalf of an external MRU filter (the vmm step-level L0
+// filter), without probing or re-stamping any entry. The caller guarantees
+// each counted access would have hit the same already-MRU L1 entry, so
+// skipping the scan and the recency refresh is invisible to every
+// replacement decision; only the counters the experiments report move.
 func (h *Hierarchy) CountL1HitsIndexed(si int, n uint64) {
 	h.accesses += n
 	h.l1[si].CountHit(n)
-}
-
-// Fill installs the translation for a at the given page size after a page
-// table walk, into both levels.
-func (h *Hierarchy) Fill(a mem.VirtAddr, size mem.PageSize) {
-	vpn := mem.PageNumber(a, size)
-	if size != mem.Page1G || h.l2Holds1G {
-		h.l2.Insert(vpn, size)
-	}
-	h.l1[sizeIndex(size)].Insert(vpn, size)
 }
 
 // Present reports whether the translation for a at the given page size is
 // cached anywhere in the hierarchy, without perturbing LRU state or stats.
 func (h *Hierarchy) Present(a mem.VirtAddr, size mem.PageSize) bool {
 	vpn := mem.PageNumber(a, size)
-	if h.l1[sizeIndex(size)].Contains(vpn, size) {
+	if h.l1[SizeIndex(size)].Contains(vpn, size) {
 		return true
 	}
 	if size == mem.Page1G && !h.l2Holds1G {
@@ -200,7 +208,7 @@ func (h *Hierarchy) L1Misses() uint64 {
 }
 
 // L1 returns the L1 TLB for a page size (for stats and tests).
-func (h *Hierarchy) L1(size mem.PageSize) *TLB { return h.l1[sizeIndex(size)] }
+func (h *Hierarchy) L1(size mem.PageSize) *TLB { return h.l1[SizeIndex(size)] }
 
 // L2 returns the unified second-level TLB.
 func (h *Hierarchy) L2() *TLB { return h.l2 }

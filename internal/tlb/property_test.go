@@ -20,7 +20,7 @@ func TestPropertyShootdownLeavesNoStaleEntry(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			size := sizes[rng.Intn(len(sizes))]
 			a := mem.VirtAddr(rng.Uint64() % (1 << 40))
-			h.Fill(mem.PageBase(a, size), size)
+			translate(h, mem.PageBase(a, size), size)
 		}
 		// Shoot down a random 2MB..64MB range.
 		start := mem.PageBase(mem.VirtAddr(rng.Uint64()%(1<<40)), mem.Page2M)
@@ -45,7 +45,7 @@ func TestPropertyShootdownLeavesNoStaleEntry(t *testing.T) {
 func TestPropertyShootdownPartialOverlap(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	base := mem.VirtAddr(1) << 30
-	h.Fill(base, mem.Page2M)
+	translate(h, base, mem.Page2M)
 	// Shoot down only the second half of the 2MB page.
 	h.Shootdown(mem.Range{Start: base + 1<<20, End: base + 2<<20})
 	if h.Present(base, mem.Page2M) {

@@ -6,12 +6,13 @@ import (
 	"pccsim/internal/mem"
 )
 
-// State is the serializable mutable state of one TLB: the full SoA entry
-// arrays, the MRU hint, the LRU clock, and the counters. Geometry (sets,
-// ways, name) is configuration, not state — a restore target must be built
-// from the same Config, and SetState validates the array lengths against the
-// receiver's geometry so a snapshot can never be poured into a mismatched
-// structure.
+// State is the serializable mutable state of one TLB: the entries (page
+// number, page size — 0 for an invalid way — and LRU stamp per way, in
+// set-major order), the MRU hint, the LRU clock, and the counters. Geometry
+// (sets, ways, name) is configuration, not state — a restore target must be
+// built from the same Config, and SetState validates the array lengths
+// against the receiver's geometry so a snapshot can never be poured into a
+// mismatched structure.
 type State struct {
 	VPNs    []mem.PageNum
 	Sizes   []mem.PageSize
@@ -24,31 +25,60 @@ type State struct {
 
 // State returns a deep copy of the TLB's mutable state.
 func (t *TLB) State() State {
-	return State{
-		VPNs:    append([]mem.PageNum(nil), t.vpns...),
-		Sizes:   append([]mem.PageSize(nil), t.sizes...),
+	s := State{
+		VPNs:    make([]mem.PageNum, len(t.tags)),
+		Sizes:   make([]mem.PageSize, len(t.tags)),
 		LRUs:    append([]uint64(nil), t.lrus...),
-		MRUVPN:  t.mruVPN,
-		MRUSize: t.mruSize,
+		MRUVPN:  mem.PageNum(t.mru >> 2),
+		MRUSize: codeSize[t.mru&3],
 		Tick:    t.tick,
 		Stats:   t.stats,
 	}
+	for i, tag := range t.tags {
+		s.VPNs[i], s.Sizes[i] = mem.PageNum(tag>>2), codeSize[tag&3]
+	}
+	return s
+}
+
+// packState packs one (page number, size) pair of a State into a tag.
+func packState(vpn mem.PageNum, size mem.PageSize) (uint64, bool) {
+	if vpn > maxVPN {
+		return 0, false
+	}
+	if size == 0 {
+		return uint64(vpn) << 2, true
+	}
+	if !size.Valid() {
+		return 0, false
+	}
+	return tagOf(vpn, SizeIndex(size)), true
 }
 
 // SetState overwrites the TLB's mutable state from a snapshot taken on an
 // identically configured structure. It deep-copies the slices so the caller
-// may keep or mutate the State afterwards.
+// may keep or mutate the State afterwards. A state whose entries a tag
+// cannot hold (an unknown page size, a page number above 62 bits) is
+// refused and leaves the TLB unchanged.
 func (t *TLB) SetState(s State) error {
 	n := t.sets * t.ways
 	if len(s.VPNs) != n || len(s.Sizes) != n || len(s.LRUs) != n {
 		return fmt.Errorf("tlb %q: state has %d/%d/%d entries, structure holds %d",
 			t.name, len(s.VPNs), len(s.Sizes), len(s.LRUs), n)
 	}
-	copy(t.vpns, s.VPNs)
-	copy(t.sizes, s.Sizes)
+	mru, ok := packState(s.MRUVPN, s.MRUSize)
+	if !ok {
+		return fmt.Errorf("tlb %q: state has an invalid MRU entry (%d, %d)", t.name, s.MRUVPN, uint64(s.MRUSize))
+	}
+	tags := make([]uint64, n)
+	for i := range tags {
+		if tags[i], ok = packState(s.VPNs[i], s.Sizes[i]); !ok {
+			return fmt.Errorf("tlb %q: state entry %d (%d, %d) is not a TLB entry",
+				t.name, i, s.VPNs[i], uint64(s.Sizes[i]))
+		}
+	}
+	t.tags = tags
 	copy(t.lrus, s.LRUs)
-	t.mruVPN = s.MRUVPN
-	t.mruSize = s.MRUSize
+	t.mru = mru
 	t.tick = s.Tick
 	t.stats = s.Stats
 	return nil

@@ -42,32 +42,29 @@ func (s Stats) String() string {
 // TLB is a single set-associative translation lookaside buffer for one or
 // more page sizes. Sets are indexed by the low bits of the page number.
 //
-// Entry storage is structure-of-arrays: the ways-wide set scan in Lookup is
-// the innermost loop of the whole simulator, and splitting the fields into
-// parallel slices keeps the scanned tags densely packed (8 bytes per way
-// instead of a 32-byte struct), so a 4-way probe touches one cache line.
-// A size of 0 marks an invalid way; valid entries always carry one of the
-// three real page sizes, so tag comparison and validity collapse into the
-// same two loads.
+// Each way is one packed tag word, vpn<<2 | size code (see tagOf), next to
+// a parallel LRU stamp. The ways-wide set scan is the innermost loop of the
+// whole simulator: with the tag packed, a way compare is one load and one
+// compare over one array, and a Table-2 L2 set (8 ways) is exactly one 64 B
+// line. Code 0 marks an invalid way; invalidation clears only the code, so
+// the way keeps its VPN bits, which State reports.
 type TLB struct {
 	name    string
 	sets    int
 	ways    int
 	setMask uint64 // sets-1 when sets is a power of two, else 0
 
-	vpns  []mem.PageNum  // sets*ways, set-major
-	sizes []mem.PageSize // 0 = invalid way
-	lrus  []uint64       // higher = more recently used
+	tags []uint64 // sets*ways, set-major; code 0 = invalid way
+	lrus []uint64 // higher = more recently used
 
-	// mruVPN/mruSize remember the most recently stamped entry (last Lookup
-	// hit or Insert). That entry is by construction the most recently used
-	// way of its set, so a repeat Lookup can return a hit without the set
-	// scan and without re-stamping: refreshing an already-MRU entry never
+	// mru is the tag of the most recently stamped entry (last Lookup hit
+	// or fill). That entry is by construction the most recently used way
+	// of its set, so a repeat Lookup can return a hit without the set scan
+	// and without re-stamping: refreshing an already-MRU entry never
 	// changes within-set LRU order, which keeps every replacement decision
-	// — and therefore every simulation result — bit-identical. mruSize 0
-	// means no hint.
-	mruVPN  mem.PageNum
-	mruSize mem.PageSize
+	// — and therefore every simulation result — bit-identical. A size
+	// code of 0 means no hint.
+	mru uint64
 
 	tick  uint64
 	stats Stats
@@ -77,6 +74,20 @@ type TLB struct {
 	// candidate source (§5.4.1 design alternative) hangs off this hook.
 	OnEvict func(vpn mem.PageNum, size mem.PageSize)
 }
+
+// Size codes of a packed tag: SizeIndex+1, so 0 is free to mark an invalid
+// way. codeSize and codeShift decode them.
+var (
+	codeSize  = [4]mem.PageSize{0, mem.Page4K, mem.Page2M, mem.Page1G}
+	codeShift = [4]uint{0, 12, 21, 30}
+)
+
+// maxVPN bounds the page numbers a packed tag can carry (62 bits; a 4KB
+// page number of a 64-bit address has 52).
+const maxVPN = 1<<62 - 1
+
+// tagOf packs a page number with size index si (see SizeIndex).
+func tagOf(vpn mem.PageNum, si int) uint64 { return uint64(vpn)<<2 | uint64(si+1) }
 
 // Config describes one TLB structure.
 type Config struct {
@@ -92,12 +103,11 @@ func New(cfg Config) *TLB {
 		panic(fmt.Sprintf("tlb: invalid geometry %d entries / %d ways", cfg.Entries, cfg.Ways))
 	}
 	t := &TLB{
-		name:  cfg.Name,
-		sets:  cfg.Entries / cfg.Ways,
-		ways:  cfg.Ways,
-		vpns:  make([]mem.PageNum, cfg.Entries),
-		sizes: make([]mem.PageSize, cfg.Entries),
-		lrus:  make([]uint64, cfg.Entries),
+		name: cfg.Name,
+		sets: cfg.Entries / cfg.Ways,
+		ways: cfg.Ways,
+		tags: make([]uint64, cfg.Entries),
+		lrus: make([]uint64, cfg.Entries),
 	}
 	if t.sets&(t.sets-1) == 0 {
 		t.setMask = uint64(t.sets - 1)
@@ -113,7 +123,7 @@ func (t *TLB) Entries() int { return t.sets * t.ways }
 
 // Sets returns the set count. External MRU filters (the vmm step-level L0
 // translation table) size one slot per set and must index it exactly like
-// setIndex does, so the geometry is part of the structure's contract.
+// set does, so the geometry is part of the structure's contract.
 func (t *TLB) Sets() int { return t.sets }
 
 // Stats returns a copy of the counters.
@@ -122,94 +132,105 @@ func (t *TLB) Stats() Stats { return t.stats }
 // ResetStats zeroes the counters but keeps contents.
 func (t *TLB) ResetStats() { t.stats = Stats{} }
 
-func (t *TLB) setIndex(vpn mem.PageNum) int {
+// set returns the index of tag's first way.
+func (t *TLB) set(tag uint64) int {
+	vpn := tag >> 2
 	// Every realistic geometry has a power-of-two set count, so the hot
 	// path is a mask; the modulo covers odd test geometries.
 	if t.setMask != 0 || t.sets == 1 {
-		return int(uint64(vpn) & t.setMask)
+		return int(vpn&t.setMask) * t.ways
 	}
-	return int(uint64(vpn) % uint64(t.sets))
+	return int(vpn%uint64(t.sets)) * t.ways
 }
 
-// stamp records (vpn, size) as the most recently used entry overall,
-// enabling the MRU fast path on the next Lookup.
-func (t *TLB) stamp(vpn mem.PageNum, size mem.PageSize) {
-	t.mruVPN, t.mruSize = vpn, size
+// probe is the one set scan and victim choice. It returns the way holding
+// tag and true, or the way a fill of tag must replace and false: the first
+// invalid way, else the first least-recently-used one. One pass computes
+// both without an early exit, so the only data-dependent choices are
+// conditional moves: a set holds a tag at most once, and an invalid way
+// ranks older than every valid one (age 0; valid ways rank by stamp+1,
+// and a stamp, being a tick value, never reaches the top of uint64).
+func (t *TLB) probe(tag uint64) (int, bool) {
+	base := t.set(tag)
+	tags := t.tags[base : base+t.ways]
+	lrus := t.lrus[base : base+t.ways][:len(tags)]
+	hit, victim, oldest := -1, 0, ^uint64(0)
+	for i, w := range tags {
+		if w == tag {
+			hit = i
+		}
+		age := lrus[i] + 1
+		if w&3 == 0 {
+			age = 0
+		}
+		if age < oldest {
+			victim, oldest = i, age
+		}
+	}
+	if hit >= 0 {
+		return base + hit, true
+	}
+	return base + victim, false
+}
+
+// lookup probes for tag, refreshing its recency on a hit. On a miss it
+// returns the way a fill of tag must replace, valid until the set changes.
+func (t *TLB) lookup(tag uint64) (int, bool) {
+	if tag == t.mru {
+		// MRU fast path: the entry was the last one stamped, so it is
+		// still the most recently used way of its set and re-stamping it
+		// would not change LRU order. Count the hit and skip the scan.
+		t.stats.Hits++
+		return 0, true
+	}
+	t.tick++
+	way, hit := t.probe(tag)
+	if hit {
+		t.lrus[way] = t.tick
+		t.stats.Hits++
+		t.mru = tag
+		return way, true
+	}
+	t.stats.Misses++
+	return way, false
+}
+
+// fill writes tag into way, which a probe of tag's unchanged set returned
+// as its victim, counting (and reporting) a capacity eviction when the way
+// held a valid entry. The new entry becomes MRU.
+func (t *TLB) fill(way int, tag uint64) {
+	t.tick++
+	if old := t.tags[way]; old&3 != 0 {
+		t.stats.Evictions++
+		if t.OnEvict != nil {
+			t.OnEvict(mem.PageNum(old>>2), codeSize[old&3])
+		}
+	}
+	t.tags[way] = tag
+	t.lrus[way] = t.tick
+	t.mru = tag
 }
 
 // Lookup probes the TLB for (vpn, size). On a hit the entry's recency is
 // refreshed. It does not insert on miss; use Insert for that, so that the
 // hierarchy controls fill policy.
 func (t *TLB) Lookup(vpn mem.PageNum, size mem.PageSize) bool {
-	if vpn == t.mruVPN && size == t.mruSize {
-		// MRU fast path: the entry was the last one stamped, so it is
-		// still the most recently used way of its set and re-stamping it
-		// would not change LRU order. Count the hit and skip the scan.
-		t.stats.Hits++
-		return true
-	}
-	t.tick++
-	base := t.setIndex(vpn) * t.ways
-	vpns := t.vpns[base : base+t.ways]
-	sizes := t.sizes[base : base+t.ways][:len(vpns)]
-	for i := range vpns {
-		if vpns[i] == vpn && sizes[i] == size {
-			t.lrus[base+i] = t.tick
-			t.stats.Hits++
-			t.stamp(vpn, size)
-			return true
-		}
-	}
-	t.stats.Misses++
-	return false
+	_, hit := t.lookup(tagOf(vpn, SizeIndex(size)))
+	return hit
 }
 
 // Insert fills (vpn, size), evicting the LRU way of the set if needed.
 // Re-inserting an existing entry refreshes it in place.
 func (t *TLB) Insert(vpn mem.PageNum, size mem.PageSize) {
+	tag := tagOf(vpn, SizeIndex(size))
+	way, hit := t.probe(tag)
+	if !hit {
+		t.fill(way, tag)
+		return
+	}
 	t.tick++
-	base := t.setIndex(vpn) * t.ways
-	vpns := t.vpns[base : base+t.ways]
-	sizes := t.sizes[base : base+t.ways][:len(vpns)]
-	lrus := t.lrus[base : base+t.ways][:len(vpns)]
-	victim := 0
-	for i := range vpns {
-		if vpns[i] == vpn && sizes[i] == size {
-			lrus[i] = t.tick
-			t.stamp(vpn, size)
-			return
-		}
-		if sizes[i] == 0 {
-			// An invalid way is always the best victim; stop scanning
-			// for LRU but keep checking for a duplicate entry.
-			for j := i + 1; j < len(vpns); j++ {
-				if vpns[j] == vpn && sizes[j] == size {
-					lrus[j] = t.tick
-					t.stamp(vpn, size)
-					return
-				}
-			}
-			t.fill(base+i, vpn, size)
-			return
-		}
-		if lrus[i] < lrus[victim] {
-			victim = i
-		}
-	}
-	// Every way was valid: a genuine capacity eviction.
-	t.stats.Evictions++
-	if t.OnEvict != nil {
-		t.OnEvict(vpns[victim], sizes[victim])
-	}
-	t.fill(base+victim, vpn, size)
-}
-
-// fill writes (vpn, size) into way i at the current tick and stamps it MRU.
-func (t *TLB) fill(i int, vpn mem.PageNum, size mem.PageSize) {
-	t.vpns[i] = vpn
-	t.sizes[i] = size
-	t.lrus[i] = t.tick
-	t.stamp(vpn, size)
+	t.lrus[way] = t.tick
+	t.mru = tag
 }
 
 // CountHit records a hit for (vpn, size) established by an external MRU
@@ -222,31 +243,25 @@ func (t *TLB) CountHit(n uint64) { t.stats.Hits += n }
 // Contains reports whether (vpn, size) is cached, without touching LRU
 // state or statistics (a diagnostic probe, not a lookup).
 func (t *TLB) Contains(vpn mem.PageNum, size mem.PageSize) bool {
-	base := t.setIndex(vpn) * t.ways
-	for i := base; i < base+t.ways; i++ {
-		if t.vpns[i] == vpn && t.sizes[i] == size {
-			return true
-		}
-	}
-	return false
+	_, hit := t.probe(tagOf(vpn, SizeIndex(size)))
+	return hit
 }
 
 // InvalidatePage removes the translation for (vpn, size) if present,
 // returning whether an entry was dropped. This models a single-page
 // shootdown (INVLPG).
 func (t *TLB) InvalidatePage(vpn mem.PageNum, size mem.PageSize) bool {
-	base := t.setIndex(vpn) * t.ways
-	for i := base; i < base+t.ways; i++ {
-		if t.vpns[i] == vpn && t.sizes[i] == size {
-			t.sizes[i] = 0
-			if vpn == t.mruVPN && size == t.mruSize {
-				t.mruSize = 0
-			}
-			t.stats.Invalidates++
-			return true
-		}
+	tag := tagOf(vpn, SizeIndex(size))
+	way, hit := t.probe(tag)
+	if !hit {
+		return false
 	}
-	return false
+	t.tags[way] &^= 3
+	if tag == t.mru {
+		t.mru &^= 3
+	}
+	t.stats.Invalidates++
+	return true
 }
 
 // InvalidateRange removes every entry whose page overlaps the virtual range,
@@ -255,21 +270,21 @@ func (t *TLB) InvalidatePage(vpn mem.PageNum, size mem.PageSize) bool {
 // within the promoted 2MB region must go.
 func (t *TLB) InvalidateRange(r mem.Range) int {
 	n := 0
-	for i := range t.sizes {
-		size := t.sizes[i]
-		if size == 0 {
+	for i, tag := range t.tags {
+		code := tag & 3
+		if code == 0 {
 			continue
 		}
-		base := mem.VirtAddr(uint64(t.vpns[i]) << size.Shift())
-		pr := mem.Range{Start: base, End: base + mem.VirtAddr(uint64(size))}
+		base := mem.VirtAddr(tag >> 2 << codeShift[code])
+		pr := mem.Range{Start: base, End: base + mem.VirtAddr(uint64(codeSize[code]))}
 		if pr.Overlaps(r) {
-			t.sizes[i] = 0
+			t.tags[i] = tag &^ 3
 			n++
 		}
 	}
 	if n > 0 {
 		// Conservatively drop the MRU hint: the stamped entry may be gone.
-		t.mruSize = 0
+		t.mru &^= 3
 	}
 	t.stats.Invalidates += uint64(n)
 	return n
@@ -277,17 +292,17 @@ func (t *TLB) InvalidateRange(r mem.Range) int {
 
 // Flush invalidates every entry.
 func (t *TLB) Flush() {
-	for i := range t.sizes {
-		t.sizes[i] = 0
+	for i := range t.tags {
+		t.tags[i] &^= 3
 	}
-	t.mruSize = 0
+	t.mru &^= 3
 }
 
 // Occupancy returns the number of valid entries (useful in tests).
 func (t *TLB) Occupancy() int {
 	n := 0
-	for i := range t.sizes {
-		if t.sizes[i] != 0 {
+	for _, tag := range t.tags {
+		if tag&3 != 0 {
 			n++
 		}
 	}
@@ -298,9 +313,9 @@ func (t *TLB) Occupancy() int {
 // statistics. The invariant auditor and property tests use this to check
 // that no stale translation survives a shootdown.
 func (t *TLB) VisitValid(fn func(vpn mem.PageNum, size mem.PageSize)) {
-	for i := range t.sizes {
-		if t.sizes[i] != 0 {
-			fn(t.vpns[i], t.sizes[i])
+	for _, tag := range t.tags {
+		if tag&3 != 0 {
+			fn(mem.PageNum(tag>>2), codeSize[tag&3])
 		}
 	}
 }

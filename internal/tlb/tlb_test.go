@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -221,11 +222,14 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 func TestHierarchyAccessFillPath(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	a := mem.VirtAddr(0x123456789)
-	if got := h.Access(a, mem.Page4K); got != Miss {
+	if got := translate(h, a, mem.Page4K); got != Miss {
 		t.Fatalf("first access = %v, want Miss", got)
 	}
-	h.Fill(a, mem.Page4K)
-	if got := h.Access(a, mem.Page4K); got != HitL1 {
+	// The miss filled both levels.
+	if !h.L2().Contains(mem.PageNumber(a, mem.Page4K), mem.Page4K) {
+		t.Fatal("a full miss must fill the L2")
+	}
+	if got := translate(h, a, mem.Page4K); got != HitL1 {
 		t.Fatalf("post-fill access = %v, want HitL1", got)
 	}
 	if h.Walks() != 1 || h.Accesses() != 2 {
@@ -236,16 +240,16 @@ func TestHierarchyAccessFillPath(t *testing.T) {
 func TestHierarchyL2Refill(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	// Fill 4KB pages until the first one falls out of L1 but stays in L2.
-	h.Fill(0, mem.Page4K)
+	translate(h, 0, mem.Page4K)
 	// 64-entry 4-way L1: flood the set of vpn 0 (same set every 16 vpns).
 	for i := 1; i <= 4; i++ {
-		h.Fill(addr4K(mem.PageNum(i*16)), mem.Page4K)
+		translate(h, addr4K(mem.PageNum(i*16)), mem.Page4K)
 	}
-	if got := h.Access(0, mem.Page4K); got != HitL2 {
+	if got := translate(h, 0, mem.Page4K); got != HitL2 {
 		t.Fatalf("evicted-from-L1 access = %v, want HitL2", got)
 	}
 	// The L2 hit refills L1.
-	if got := h.Access(0, mem.Page4K); got != HitL1 {
+	if got := translate(h, 0, mem.Page4K); got != HitL1 {
 		t.Fatalf("after refill = %v, want HitL1", got)
 	}
 }
@@ -253,16 +257,16 @@ func TestHierarchyL2Refill(t *testing.T) {
 func TestHierarchy1GBBypassesL2(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	a := mem.VirtAddr(3 << 30)
-	h.Fill(a, mem.Page1G)
-	if got := h.Access(a, mem.Page1G); got != HitL1 {
+	translate(h, a, mem.Page1G)
+	if got := translate(h, a, mem.Page1G); got != HitL1 {
 		t.Fatalf("1GB L1 hit expected, got %v", got)
 	}
 	// Evict from the 4-entry 1GB L1 by filling 4+ more.
 	for i := 1; i <= 8; i++ {
-		h.Fill(mem.VirtAddr(3+i)<<30, mem.Page1G)
+		translate(h, mem.VirtAddr(3+i)<<30, mem.Page1G)
 	}
 	// Haswell's L2 does not hold 1GB entries: must be a full miss.
-	if got := h.Access(a, mem.Page1G); got != Miss {
+	if got := translate(h, a, mem.Page1G); got != Miss {
 		t.Fatalf("1GB after L1 eviction = %v, want Miss (no L2 for 1GB)", got)
 	}
 }
@@ -270,22 +274,20 @@ func TestHierarchy1GBBypassesL2(t *testing.T) {
 func TestHierarchyShootdown(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	a := mem.VirtAddr(0x200000)
-	h.Fill(a, mem.Page4K)
-	h.Fill(a, mem.Page4K)
+	translate(h, a, mem.Page4K)
 	n := h.Shootdown(mem.Range{Start: a, End: a + 0x1000})
-	if n == 0 {
-		t.Fatal("shootdown must drop entries from both levels")
+	if n != 2 {
+		t.Fatalf("shootdown dropped %d entries, want one from each level", n)
 	}
-	if got := h.Access(a, mem.Page4K); got != Miss {
+	if got := translate(h, a, mem.Page4K); got != Miss {
 		t.Errorf("post-shootdown access = %v, want Miss", got)
 	}
 }
 
 func TestHierarchyMissRate(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
-	h.Access(0, mem.Page4K) // miss
-	h.Fill(0, mem.Page4K)
-	h.Access(0, mem.Page4K) // hit
+	translate(h, 0, mem.Page4K) // miss, filled
+	translate(h, 0, mem.Page4K) // hit
 	if got := h.MissRate(); got != 0.5 {
 		t.Errorf("miss rate = %v, want 0.5", got)
 	}
@@ -304,6 +306,11 @@ func TestResultString(t *testing.T) {
 	}
 }
 
+// translate runs h.Translate for address a mapped at size (test helper).
+func translate(h *Hierarchy, a mem.VirtAddr, size mem.PageSize) Result {
+	return h.Translate(mem.PageNumber(a, size), SizeIndex(size))
+}
+
 // addr4K converts a 4KB page number back to an address (test helper).
 func addr4K(v mem.PageNum) mem.VirtAddr { return mem.VirtAddr(uint64(v) << 12) }
 
@@ -315,13 +322,12 @@ func TestHierarchyFillThenHitProperty(t *testing.T) {
 		size := sizes[int(pick)%3]
 		a := mem.VirtAddr(raw % (1 << 40))
 		h := NewHierarchy(DefaultHierarchyConfig())
-		h.Fill(a, size)
-		if h.Access(a, size) != HitL1 {
+		if translate(h, a, size) != Miss || translate(h, a, size) != HitL1 {
 			return false
 		}
 		base := mem.PageBase(a, size)
 		h.Shootdown(mem.Range{Start: base, End: base + mem.VirtAddr(uint64(size))})
-		return h.Access(a, size) == Miss
+		return translate(h, a, size) == Miss
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -336,14 +342,13 @@ func TestHierarchyAccessCountingProperty(t *testing.T) {
 		var l1, l2, walks uint64
 		for i := 0; i < 2000; i++ {
 			a := mem.VirtAddr(rng.Intn(4096)) << 12
-			switch h.Access(a, mem.Page4K) {
+			switch translate(h, a, mem.Page4K) {
 			case HitL1:
 				l1++
 			case HitL2:
 				l2++
 			default:
 				walks++
-				h.Fill(a, mem.Page4K)
 			}
 		}
 		return h.Accesses() == l1+l2+walks && h.Walks() == walks
@@ -369,5 +374,50 @@ func TestOnEvictHookFires(t *testing.T) {
 	tl.InvalidatePage(1, mem.Page4K)
 	if len(evicted) != 1 {
 		t.Error("invalidate must not fire OnEvict")
+	}
+}
+
+// TestSetStateRejectsUnpackableEntries: a state whose entries a packed tag
+// cannot hold — an unknown page size, or a page number above 62 bits — is
+// refused (a hostile snapshot must not be silently truncated) and leaves
+// the TLB as it was.
+func TestSetStateRejectsUnpackableEntries(t *testing.T) {
+	tl := New(Config{Name: "t", Entries: 4, Ways: 2})
+	tl.Insert(3, mem.Page2M)
+	good := tl.State()
+	for name, mutate := range map[string]func(*State){
+		"size":     func(s *State) { s.Sizes[1] = 12345 },
+		"vpn":      func(s *State) { s.VPNs[2] = 1 << 62 },
+		"mru size": func(s *State) { s.MRUSize = 3 },
+		"mru vpn":  func(s *State) { s.MRUVPN = 1 << 63 },
+	} {
+		bad := tl.State()
+		mutate(&bad)
+		if err := tl.SetState(bad); err == nil {
+			t.Errorf("%s: SetState accepted an unpackable state", name)
+		}
+		if !reflect.DeepEqual(tl.State(), good) {
+			t.Fatalf("%s: rejected SetState changed the TLB", name)
+		}
+	}
+	// An invalid way keeps its page number through a round trip.
+	tl.InvalidatePage(3, mem.Page2M)
+	st := tl.State()
+	if err := tl.SetState(st); err != nil || !reflect.DeepEqual(tl.State(), st) {
+		t.Fatalf("round trip of an invalidated way: err %v", err)
+	}
+}
+
+// TestPageNumberMatchesMem: the size-index shift agrees with mem.PageNumber
+// at every page size.
+func TestPageNumberMatchesMem(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		a := mem.VirtAddr(rng.Uint64())
+		for _, s := range []mem.PageSize{mem.Page4K, mem.Page2M, mem.Page1G} {
+			if got, want := PageNumber(a, SizeIndex(s)), mem.PageNumber(a, s); got != want {
+				t.Fatalf("PageNumber(%#x, %v) = %#x, want %#x", a, s, got, want)
+			}
+		}
 	}
 }

@@ -192,55 +192,3 @@ func TestGeneratorsBatchMatchesNext(t *testing.T) {
 		})
 	}
 }
-
-// TestRecordReplayRoundTrip proves a recording replays the exact access
-// sequence, including thread switches, writes, and backwards address deltas.
-func TestRecordReplayRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	accs := make([]Access, 10_000)
-	for i := range accs {
-		accs[i] = Access{
-			Addr:   mem.VirtAddr(rng.Uint64()), // arbitrary, including huge deltas
-			Thread: rng.Intn(8),
-			Write:  rng.Intn(2) == 0,
-		}
-	}
-	rec := Record(Slice(accs), 0)
-	if rec == nil {
-		t.Fatal("unlimited Record returned nil")
-	}
-	if rec.Accesses() != uint64(len(accs)) {
-		t.Fatalf("Accesses() = %d, want %d", rec.Accesses(), len(accs))
-	}
-	if rec.Size() == 0 || rec.Size() >= len(accs)*24 {
-		t.Fatalf("Size() = %d, want compact (< %d)", rec.Size(), len(accs)*24)
-	}
-	// Two concurrent-style replays, one per drain style, must both match.
-	if got := drainNext(rec.Replay(), len(accs)+1); !reflect.DeepEqual(got, accs) {
-		t.Fatal("Next replay diverged from recorded sequence")
-	}
-	if got := drainBatch(rec.Replay(), len(accs)+1); !reflect.DeepEqual(got, accs) {
-		t.Fatal("batch replay diverged from recorded sequence")
-	}
-	// Replay of an empty recording is empty.
-	empty := Record(Slice(nil), 0)
-	if empty == nil || empty.Accesses() != 0 {
-		t.Fatal("empty recording must exist with zero accesses")
-	}
-	if _, ok := empty.Replay().Next(); ok {
-		t.Error("empty replay must be exhausted immediately")
-	}
-}
-
-// TestRecordRespectsByteCap: a stream whose encoding exceeds the cap makes
-// Record return nil (the caller falls back to live generation).
-func TestRecordRespectsByteCap(t *testing.T) {
-	if rec := Record(UniformRandom(0, 1<<40, 100_000, rand.New(rand.NewSource(1))), 64); rec != nil {
-		t.Fatalf("Record over a 64-byte cap must return nil, got %d bytes", rec.Size())
-	}
-	// A cap the stream fits under records fully.
-	rec := Record(Sequential(0, 1<<20, 64, 1000), 1<<20)
-	if rec == nil || rec.Accesses() != 1000 {
-		t.Fatal("Record under cap must succeed")
-	}
-}

@@ -97,6 +97,12 @@ type BlockSource interface {
 	DecodeBlock(buf []Access) int
 }
 
+// zigzag maps signed deltas onto small unsigned integers.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
 // blockRef locates one encoded block inside a BlockRecording.
 type blockRef struct {
 	off   int

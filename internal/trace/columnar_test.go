@@ -95,20 +95,6 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnarMatchesRowRecording: the two recording formats are drained from
-// identical streams and must replay identical sequences — the property that
-// lets the trace cache swap formats without disturbing a single golden.
-func TestColumnarMatchesRowRecording(t *testing.T) {
-	accs := columnarMix(2*BlockAccesses + 123)
-	row := Record(Slice(accs), 0)
-	col := RecordBlocks(Slice(accs), 0)
-	a := drainBatch(row.Replay(), len(accs)+1)
-	b := drainBatch(col.Replay(), len(accs)+1)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("columnar replay diverged from row-format replay")
-	}
-}
-
 // TestColumnarMixedConsumption: interleaving Next, NextBatch, NextBlock and
 // DecodeBlock over one stream must still produce the exact sequence — the
 // cursors realign across styles (vmm mixes them when a restored run
@@ -153,8 +139,8 @@ done:
 	}
 }
 
-// TestColumnarByteCap mirrors the row-format contract: over-budget recording
-// returns nil, under-budget succeeds.
+// TestColumnarByteCap: over-budget recording returns nil (the caller falls
+// back to live generation), under-budget succeeds.
 func TestColumnarByteCap(t *testing.T) {
 	if rec := RecordBlocks(UniformRandom(0, 1<<40, 100_000, rand.New(rand.NewSource(1))), 64); rec != nil {
 		t.Fatalf("RecordBlocks over a 64-byte cap must return nil, got %d bytes", rec.Size())

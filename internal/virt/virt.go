@@ -140,7 +140,8 @@ func (m *Machine) Step(gva mem.VirtAddr) {
 	eff := effectiveSize(gs, hs)
 
 	cost := m.cfg.BaseCPA
-	switch m.tlb.Access(gva, eff) {
+	si := tlb.SizeIndex(eff)
+	switch m.tlb.Translate(tlb.PageNumber(gva, si), si) {
 	case tlb.HitL1:
 	case tlb.HitL2:
 		cost += m.cfg.Cost.L2TLBHit
@@ -157,7 +158,6 @@ func (m *Machine) Step(gva mem.VirtAddr) {
 		info := m.guest.Walk(gva)
 		m.host.Walk(gva)
 		cost += m.cfg.Cost.WalkBase + float64(refs)*m.cfg.Cost.WalkRef
-		m.tlb.Fill(gva, eff)
 		if gs != mem.Page1G && info.PMDWasAccessed {
 			m.gpcc.Record(gva)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pccsim/internal/mem"
+	"pccsim/internal/tlb"
 	"pccsim/internal/trace"
 )
 
@@ -44,7 +45,7 @@ func TestAuditDetectsStaleTLBEntry(t *testing.T) {
 	m.Run(&Job{Proc: p, Stream: seqStream(p.Ranges()[0], 1)})
 	// Forge a translation for a page no table maps.
 	bogus := p.Ranges()[0].End + mem.VirtAddr(64<<21)
-	m.Core(0).TLB.Fill(bogus, mem.Page4K)
+	m.Core(0).TLB.Translate(tlb.PageNumber(bogus, 0), 0) // a miss installs it
 	bad := m.Audit()
 	if len(bad) == 0 {
 		t.Fatal("forged TLB entry must be reported")

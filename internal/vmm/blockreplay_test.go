@@ -10,9 +10,9 @@ import (
 )
 
 // blockReplayRun is shardTestRun with the stream source parameterized: the
-// same four-job, three-group workload fed from materialized slices, from the
-// row-format Recording, or from the columnar BlockRecording (the zero-copy
-// NextBlock path serially, the prefetch-decode path under shards).
+// same four-job, three-group workload fed from materialized slices or from
+// the columnar BlockRecording (the zero-copy NextBlock path serially, the
+// prefetch-decode path under shards).
 func blockReplayRun(t *testing.T, shards int, kind string) string {
 	t.Helper()
 	cfg := testConfig()
@@ -33,8 +33,6 @@ func blockReplayRun(t *testing.T, shards int, kind string) string {
 		switch kind {
 		case "slice":
 			st = trace.Slice(acc)
-		case "row":
-			st = trace.Record(trace.Slice(acc), 0).Replay()
 		case "columnar":
 			st = trace.RecordBlocks(trace.Slice(acc), 0).Replay()
 		default:
@@ -48,13 +46,13 @@ func blockReplayRun(t *testing.T, shards int, kind string) string {
 
 // TestBlockReplayRunEquivalence: feeding Run from a columnar replay — the
 // zero-copy in-place path, and the prefetch-decode path under shards — must
-// produce machine state bit-identical to materialized slices and to the row
-// recording, at every shard count. This is the invariant that lets the
-// experiments' trace cache switch formats without disturbing a golden.
+// produce machine state bit-identical to materialized slices at every shard
+// count. This is the invariant that lets the experiments' trace cache replay
+// recordings without disturbing a golden.
 func TestBlockReplayRunEquivalence(t *testing.T) {
 	want := blockReplayRun(t, 1, "slice")
 	for _, shards := range []int{1, 4} {
-		for _, kind := range []string{"slice", "row", "columnar"} {
+		for _, kind := range []string{"slice", "columnar"} {
 			if got := blockReplayRun(t, shards, kind); got != want {
 				t.Errorf("shards=%d kind=%s diverges from serial slice run:\nwant:\n%s\ngot:\n%s",
 					shards, kind, want, got)

@@ -148,7 +148,7 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 	m := NewMachine(cfg, nil)
 	p := m.AddProcess("t", testVMA(8), 0)
 	acc := mixedStream(p.Ranges()[0], 12)
-	rec := trace.Record(trace.Slice(acc), 0)
+	rec := trace.RecordBlocks(trace.Slice(acc), 0)
 	accesses := rec.Accesses()
 	if accesses == 0 {
 		t.Fatal("empty recording")

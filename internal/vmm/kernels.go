@@ -226,17 +226,16 @@ func (ex *executor) stepFullFast(c *Core, p *Process, addr mem.VirtAddr) {
 	cost := ex.effCPA
 	baseCost := cost
 
-	switch c.TLB.Access(addr, size) {
+	switch c.TLB.Translate(tlb.PageNumber(addr, si), si) {
 	case tlb.HitL1:
 	case tlb.HitL2:
 		cost += ex.cL2Hit
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)
 		}
-	default: // tlb.Miss → page table walk
+	default: // tlb.Miss → page table walk (Translate already filled)
 		info := c.Walker.Walk(p.Table, addr)
 		cost += ex.cWalkBase + float64(info.Levels)*ex.cWalkRef
-		c.TLB.Fill(addr, size)
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)
 		}

@@ -800,7 +800,7 @@ func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 	}
 	baseCost := cost
 
-	switch c.TLB.Access(addr, size) {
+	switch c.TLB.Translate(tlb.PageNumber(addr, si), si) {
 	case tlb.HitL1:
 		if ex.mlpOn {
 			c.walkBurst = 0
@@ -813,7 +813,7 @@ func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 		if ex.mlpOn {
 			c.walkBurst = 0
 		}
-	default: // tlb.Miss → page table walk
+	default: // tlb.Miss → page table walk (Translate already filled)
 		info := c.Walker.Walk(p.Table, addr)
 		walk := ex.cWalkBase + float64(info.Levels)*ex.cWalkRef
 		if w := m.cfg.PTWMLPWidth; w > 1 {
@@ -829,7 +829,6 @@ func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 			}
 		}
 		cost += walk
-		c.TLB.Fill(addr, size)
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)
 		}
