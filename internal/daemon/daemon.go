@@ -436,8 +436,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"tracecache_streams": recs,
 		"tracecache_blocks":  experiments.TraceCacheBlocks(),
 		"tracecache_bytes":   cacheBytes,
-		// Process-global health gauges (e.g. the sharded runner's block
-		// prefetch ring occupancy).
+		// Process-global health gauges (the obs Default registry).
 		"metrics": obs.Default().Snapshot(),
 	})
 }

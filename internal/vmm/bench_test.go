@@ -98,11 +98,13 @@ func BenchmarkRunStream(b *testing.B) {
 
 // benchmarkRunSharded measures wall clock for eight independent single-core
 // jobs (eight processes, eight cores) at a given shard budget. Shards=1 is
-// the serial scheduler; Shards=8 runs every group on its own goroutine with
+// the serial strategy; Shards=8 runs every group on its own goroutine with
 // epoch barriers at policy ticks. Results are byte-identical either way (see
 // TestShardEquivalence); only wall clock may differ, by up to the host's
-// core count. ns/op is ns per simulated access across all jobs.
-func benchmarkRunSharded(b *testing.B, shards int) {
+// core count. With replay set, each job's stream is a columnar recording
+// replayed block by block instead of a live generator. ns/op is ns per
+// simulated access across all jobs.
+func benchmarkRunSharded(b *testing.B, shards int, replay bool) {
 	cfg := DefaultConfig()
 	cfg.Phys = physmem.Config{TotalBytes: 1024 << 21, MovableFillRatio: 0.5}
 	cfg.Cores = 8
@@ -120,11 +122,11 @@ func benchmarkRunSharded(b *testing.B, shards int) {
 			Stream: trace.Sequential(r.Start, uint64(r.Len()), uint64(mem.Page4K), uint64(r.Len())>>12),
 			Cores:  []int{i},
 		})
-		jobs = append(jobs, &Job{
-			Proc:   p,
-			Stream: trace.Sequential(r.Start, uint64(r.Len()), 64, perJob),
-			Cores:  []int{i},
-		})
+		var st trace.Stream = trace.Sequential(r.Start, uint64(r.Len()), 64, perJob)
+		if replay {
+			st = trace.RecordBlocks(st, 0).Replay()
+		}
+		jobs = append(jobs, &Job{Proc: p, Stream: st, Cores: []int{i}})
 	}
 	// Warm first-touch faults serially so the timed run measures execution.
 	m.Run(warm...)
@@ -133,11 +135,16 @@ func benchmarkRunSharded(b *testing.B, shards int) {
 	m.Run(jobs...)
 }
 
-// BenchmarkRunSharded1 is the 8-job workload on the serial scheduler.
-func BenchmarkRunSharded1(b *testing.B) { benchmarkRunSharded(b, 1) }
+// BenchmarkRunSharded1 is the 8-job workload on the serial strategy.
+func BenchmarkRunSharded1(b *testing.B) { benchmarkRunSharded(b, 1, false) }
 
 // BenchmarkRunSharded8 is the same workload with an 8-goroutine shard budget.
-func BenchmarkRunSharded8(b *testing.B) { benchmarkRunSharded(b, 8) }
+func BenchmarkRunSharded8(b *testing.B) { benchmarkRunSharded(b, 8, false) }
+
+// BenchmarkRunShardedReplay is BenchmarkRunSharded8 with every job replayed
+// from a columnar recording: the sharded strategy decodes each block
+// straight into a pool buffer.
+func BenchmarkRunShardedReplay(b *testing.B) { benchmarkRunSharded(b, 8, true) }
 
 // BenchmarkVmaOf measures the VMA lookup alone on a 24-VMA address space with
 // run-based locality (the pattern real streams exhibit: long runs inside one

@@ -11,8 +11,8 @@ import (
 
 // blockReplayRun is shardTestRun with the stream source parameterized: the
 // same four-job, three-group workload fed from materialized slices or from
-// the columnar BlockRecording (the zero-copy NextBlock path serially, the
-// prefetch-decode path under shards).
+// the columnar BlockRecording (read in place through NextBlock by the serial
+// strategy, decoded through NextBatch into pool buffers by the sharded one).
 func blockReplayRun(t *testing.T, shards int, kind string) string {
 	t.Helper()
 	cfg := testConfig()
@@ -45,7 +45,7 @@ func blockReplayRun(t *testing.T, shards int, kind string) string {
 }
 
 // TestBlockReplayRunEquivalence: feeding Run from a columnar replay — the
-// zero-copy in-place path, and the prefetch-decode path under shards — must
+// zero-copy in-place path, and the pool-buffer decode path under shards — must
 // produce machine state bit-identical to materialized slices at every shard
 // count. This is the invariant that lets the experiments' trace cache replay
 // recordings without disturbing a golden.

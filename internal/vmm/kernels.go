@@ -30,9 +30,9 @@ import (
 //     exclusively at policy-tick epoch barriers, which are segment
 //     boundaries, so the classification proves its absence from the body.
 //   - Live vs block-replay source selects the drain loop feeding segments
-//     (pool-buffered NextBatch vs zero-copy NextBlock; see runSerial and
-//     runSharded); both produce plain []trace.Access segments, so the
-//     kernels themselves are shared.
+//     (buffered NextBatch vs zero-copy NextBlock; see RunUntil); both
+//     produce plain []trace.Access segments, so the kernels themselves are
+//     shared.
 //
 // The resulting per-access body carries zero interface calls and no
 // re-checked configuration branches: a register-line hit is one compare and

@@ -271,8 +271,8 @@ func TestExecProcessClearsMappingsKeepsCounters(t *testing.T) {
 	}
 }
 
-// TestExitProcessRefusesActiveJob: a process with an unfinished job in an
-// interruptible run cannot exit (the executor holds its pointer); after the
+// TestExitProcessRefusesActiveJob: a process with an unfinished job in a
+// run in progress cannot exit (the executor holds its pointer); after the
 // run finishes it can.
 func TestExitProcessRefusesActiveJob(t *testing.T) {
 	m := NewMachine(testConfig(), nil)

@@ -2,14 +2,12 @@ package vmm
 
 import (
 	"context"
-	"fmt"
 	"runtime/pprof"
 	"strconv"
 	"sync"
 
 	"pccsim/internal/mem"
 	"pccsim/internal/metrics"
-	"pccsim/internal/obs"
 	"pccsim/internal/tlb"
 	"pccsim/internal/trace"
 )
@@ -78,13 +76,14 @@ type ProcResult struct {
 	Footprint     uint64
 }
 
-// liveJob is a Job being drained by Run.
+// liveJob is a Job being drained by the scheduler.
 type liveJob struct {
 	*Job
 	stream trace.BatchStream
 	// block is non-nil when the job's stream hands out decoded columnar
-	// blocks in place (trace.BlockSource): Run then consumes those slices
-	// directly instead of copying through the machine's batch buffer.
+	// blocks in place (trace.BlockSource): the serial strategy then
+	// consumes those slices directly instead of copying through the
+	// machine's batch buffer.
 	block    trace.BlockSource
 	accesses uint64
 	done     bool
@@ -93,12 +92,13 @@ type liveJob struct {
 // executor owns the per-access mutable state of one execution lane: the
 // global access clock position, the deferred base-page allocation counter,
 // the deferred touched-bit run, and a flattened copy of the cost model so
-// the kernels never chase the config pointer. The serial Run uses a single
-// executor; the sharded Run gives each worker goroutine its own, setting
-// now per dispatched segment so every access observes exactly the clock
-// value the serial interleaving would have given it. Deferred allocations
-// are pure commutative counters and are flushed into physmem at every
-// synchronization point; deferred touches flush at every segment end and
+// the kernels never chase the config pointer. The scheduler's own executor
+// holds the global clock and executes every segment under the serial
+// strategy; the sharded strategy gives each lane its own, setting now per
+// dispatched segment so every access observes exactly the clock value the
+// serial interleaving would have given it. Deferred allocations are pure
+// commutative counters and are flushed into physmem at every policy tick
+// and at the end of a run; deferred touches flush at every segment end and
 // before any fault.
 type executor struct {
 	m          *Machine
@@ -145,15 +145,13 @@ func (ex *executor) flushAllocs() {
 	}
 }
 
-// Run drives the machine until every job's stream is exhausted. It may be
-// called once per machine (state accumulates; build a fresh machine per
-// experiment run).
-//
-// Streams are drained in batches (see trace.BatchStream): the per-access
-// body is a plain loop over a buffer, with the promotion-tick check hoisted
-// to batch-segment boundaries and the thread-to-core dispatch hoisted
-// entirely for single-core jobs. Access order — and therefore every result —
-// is identical to the historical one-Next-per-access loop.
+// Run drives the machine until every job's stream is exhausted: it is
+// StartRun followed by FinishRun with no stop in between, so it runs the
+// one scheduler (see RunUntil) under whichever execution strategy StartRun
+// picks. Run panics on the error StartRun would return — a core index out
+// of range, a run already in progress, or a job list that does not match a
+// scheduler position staged by RestoreState. State accumulates across Run
+// calls on one machine.
 //
 // When Config.Shards > 1 and the job set splits into independent groups
 // (sharing no cores and no processes) under a base-fault-only policy with
@@ -161,39 +159,14 @@ func (ex *executor) flushAllocs() {
 // all cross-group machinery runs at deterministic epoch barriers, so the
 // output stays byte-identical at every shard count.
 func (m *Machine) Run(jobs ...*Job) RunResult {
-	live := make([]*liveJob, len(jobs))
-	for i, j := range jobs {
-		if len(j.Cores) == 0 {
-			j.Cores = []int{0}
-		}
-		for _, c := range j.Cores {
-			if c < 0 || c >= len(m.cores) {
-				panic(fmt.Sprintf("vmm: job core %d out of range", c))
-			}
-		}
-		live[i] = &liveJob{Job: j, stream: trace.Batched(j.Stream)}
-		if bs, ok := j.Stream.(trace.BlockSource); ok {
-			live[i].block = bs
-		}
+	if err := m.StartRun(jobs...); err != nil {
+		panic(err)
 	}
-
-	m.running = live
-	if groupOf, groups := m.shardGroups(live); groups > 1 {
-		m.runSharded(live, groupOf, groups)
-	} else {
-		m.runSerial(live)
-	}
-	m.running = nil
-
-	if m.cfg.AuditEveryTick {
-		m.auditNow("at end of run")
-	}
-
-	return m.collectResult(live)
+	return m.FinishRun()
 }
 
 // collectResult aggregates the completion summary over the run's jobs
-// (shared by Run and FinishRun).
+// (FinishRun returns it).
 func (m *Machine) collectResult(live []*liveJob) RunResult {
 	res := RunResult{
 		Accesses:         m.accessCount,
@@ -228,86 +201,11 @@ func (m *Machine) collectResult(live []*liveJob) RunResult {
 	return res
 }
 
-// serialChunk is the batch size used when only one job runs. A single job
-// has no round-robin interleaving, so any chunking yields the identical
-// access sequence — and a small buffer keeps the fill-then-execute round
-// trip resident in L1 instead of streaming 64KB batches through L2.
+// serialChunk caps a serial request from a non-block source while only one
+// job is live. With no other job to rotate to, any chunking yields the
+// identical access sequence — and a small buffer keeps the fill-then-execute
+// round trip resident in L1 instead of streaming 64KB batches through L2.
 const serialChunk = 512
-
-// runSerial is the historical single-threaded drain loop. Jobs whose stream
-// is a trace.BlockSource take the zero-copy path: the simulation loop runs
-// directly over the stream's decoded block, skipping the copy through the
-// machine's batch buffer. Batch boundaries carry no semantics — runBatch
-// re-segments at tick boundaries and access order is unchanged — so the two
-// paths are bit-identical.
-func (m *Machine) runSerial(live []*liveJob) {
-	ex := m.newExecutor()
-	ex.now = m.accessCount
-	if len(live) == 1 {
-		j := live[0]
-		if j.block != nil {
-			for {
-				seg := j.block.NextBlock(jobSlice)
-				if len(seg) == 0 {
-					break
-				}
-				j.accesses += uint64(len(seg))
-				m.runBatch(ex, j.Job, seg)
-			}
-		} else {
-			small := m.batch()[:serialChunk]
-			for {
-				n := j.stream.NextBatch(small)
-				if n == 0 {
-					break
-				}
-				j.accesses += uint64(n)
-				m.runBatch(ex, j.Job, small[:n])
-			}
-		}
-		j.done = true
-		j.Proc.finished = true
-		j.Proc.RuntimeCycles = m.maxCycles(j.Cores)
-		m.accessCount = ex.now
-		ex.flushAllocs()
-		return
-	}
-	remaining := len(live)
-	for remaining > 0 {
-		for _, j := range live {
-			if j.done {
-				continue
-			}
-			// Advance this job by exactly jobSlice accesses (short batches
-			// from chunked producers are re-requested) before rotating to
-			// the next live job — the same interleaving the per-access loop
-			// produced.
-			slice := jobSlice
-			for slice > 0 {
-				var seg []trace.Access
-				if j.block != nil {
-					seg = j.block.NextBlock(slice)
-				} else {
-					buf := m.batch()
-					seg = buf[:j.stream.NextBatch(buf[:slice])]
-				}
-				n := len(seg)
-				if n == 0 {
-					j.done = true
-					remaining--
-					j.Proc.finished = true
-					j.Proc.RuntimeCycles = m.maxCycles(j.Cores)
-					break
-				}
-				slice -= n
-				j.accesses += uint64(n)
-				m.runBatch(ex, j.Job, seg)
-			}
-		}
-	}
-	m.accessCount = ex.now
-	ex.flushAllocs()
-}
 
 // batch returns the machine's reusable batch-drain buffer, allocating it on
 // first use (block-source jobs never need it).
@@ -373,293 +271,148 @@ func (m *Machine) shardGroups(live []*liveJob) ([]int, int) {
 	return groupOf, next
 }
 
-// shardTask is one unit of work dispatched to a shard worker: a tick-free
-// segment of one job's stream starting at global clock start, or (fin) the
-// job's completion record. buf, when non-nil, is sent to freeTo after the
-// task is processed (the segment was the last one sliced from it) — the
-// shared pool for coordinator-filled buffers, or the owning job's prefetcher
-// for decoded columnar blocks.
+// shardLanes is the sharded execution strategy. Independent job groups (see
+// shardGroups) run on up to Config.Shards lanes, each an executor drained by
+// one worker goroutine. The scheduler walks the serial schedule unchanged;
+// instead of executing a tick-free segment inline it dispatches it, tagged
+// with its global clock position, to the lane owning the job's group. A lane
+// executes its segments in dispatch order and distinct groups share no
+// mutable state between barriers, so every access observes exactly the
+// state and clock it would have observed serially. Workers live for one
+// RunUntil call (start/stop), so an abandoned run leaves no goroutine behind.
+type shardLanes struct {
+	laneOf []int // job index → lane
+	lanes  []*executor
+	// pool holds the request buffers, jobSlice accesses each: two per lane
+	// (one executing, one queued) plus two for the scheduler to fill, so
+	// reading the next request overlaps the lanes' simulation.
+	pool     chan []trace.Access
+	queues   []chan shardTask // one per lane; nil outside RunUntil
+	inflight sync.WaitGroup   // dispatched-but-unfinished tasks (the epoch barrier)
+	workers  sync.WaitGroup   // worker goroutine lifecycle
+}
+
+// shardTask is one unit of lane work: a tick-free segment of j's stream
+// starting at global clock start, or (fin) j's completion record. buf is set
+// on the last segment cut from a pool request buffer, which goes back to the
+// pool once that segment has run.
 type shardTask struct {
-	j      *liveJob
-	seg    []trace.Access
-	start  uint64
-	buf    []trace.Access
-	freeTo chan []trace.Access
-	fin    bool
+	j     *liveJob
+	seg   []trace.Access
+	start uint64
+	buf   []trace.Access
+	fin   bool
 }
 
-// blockPrefetcher decodes a job's columnar block stream ahead of the
-// simulation on its own goroutine: DecodeBlock fills prefetcher-owned
-// buffers that travel coordinator → worker → back here, so block N+1 is
-// decoding while the shard worker simulates block N — and the decoded
-// accesses are consumed in place, never copied through a pool buffer.
-// Determinism is untouched: the decoded contents and their dispatch order
-// are exactly what a synchronous NextBatch drain would have produced; only
-// the wall-clock overlap differs.
-type blockPrefetcher struct {
-	out  chan []trace.Access // decoded blocks, in stream order
-	free chan []trace.Access // consumed buffers returning for reuse
-	cur  []trace.Access      // block the coordinator is currently slicing
-	pos  int
-	ring *obs.Gauge // decoded-blocks-queued occupancy of out
-	wg   sync.WaitGroup
+// newShardLanes builds the lanes and request buffers for groups job groups.
+func (m *Machine) newShardLanes(groupOf []int, groups int) *shardLanes {
+	nw := min(m.cfg.Shards, groups)
+	sh := &shardLanes{
+		laneOf: make([]int, len(groupOf)),
+		lanes:  make([]*executor, nw),
+		pool:   make(chan []trace.Access, nw*2+2),
+	}
+	for ji, g := range groupOf {
+		sh.laneOf[ji] = g % nw
+	}
+	for w := range sh.lanes {
+		sh.lanes[w] = m.newExecutor()
+	}
+	for i := 0; i < cap(sh.pool); i++ {
+		sh.pool <- make([]trace.Access, jobSlice)
+	}
+	return sh
 }
 
-// ringGauge is the Default-registry gauge all block prefetchers publish
-// their ring occupancy to (decoded blocks queued, summed across jobs): a
-// value pinned at 0 during a slow run means simulation is starved on
-// decode, a value pinned at prefetchDepth means decode is ahead and the
-// simulation itself is the bottleneck. Visible on -pprof's /healthz and the
-// daemon's /healthz.
-const ringGauge = "vmm.prefetch.ring_occupancy"
-
-// prefetchDepth is how many decoded blocks a prefetcher owns: one being
-// consumed, one queued, one being decoded (double-buffered from the
-// consumer's point of view).
-const prefetchDepth = 3
-
-// newBlockPrefetcher starts the decode goroutine for src. It exits when the
-// stream is exhausted (Run always drains every job) after closing out.
-func newBlockPrefetcher(src trace.BlockSource) *blockPrefetcher {
-	p := &blockPrefetcher{
-		out:  make(chan []trace.Access, prefetchDepth),
-		free: make(chan []trace.Access, prefetchDepth),
-	}
-	for i := 0; i < prefetchDepth; i++ {
-		p.free <- make([]trace.Access, trace.BlockAccesses)
-	}
-	p.ring = obs.Default().Gauge(ringGauge)
-	p.wg.Add(1)
-	go pprof.Do(context.Background(), pprof.Labels("pccsim", "block-prefetcher"), func(context.Context) {
-		defer p.wg.Done()
-		for buf := range p.free {
-			n := src.DecodeBlock(buf[:cap(buf)])
-			if n == 0 {
-				close(p.out)
-				return
-			}
-			p.out <- buf[:n]
-			p.ring.Add(1)
-		}
-	})
-	return p
-}
-
-// take returns up to max accesses of the prefetched stream in place. done
-// reports a released buffer: when take consumed the last access of the
-// current block, it returns the block's buffer, which the caller must send
-// to p.free after the returned segment has been fully processed.
-func (p *blockPrefetcher) take(max int) (seg, done []trace.Access) {
-	if p.pos >= len(p.cur) {
-		blk, ok := <-p.out
-		if !ok {
-			return nil, nil
-		}
-		p.ring.Add(-1)
-		p.cur, p.pos = blk, 0
-	}
-	seg = p.cur[p.pos:]
-	if len(seg) > max {
-		seg = seg[:max]
-	}
-	p.pos += len(seg)
-	if p.pos >= len(p.cur) {
-		done = p.cur[:cap(p.cur)]
-		p.cur, p.pos = nil, 0
-	}
-	return seg, done
-}
-
-// runSharded executes independent job groups on up to Config.Shards worker
-// goroutines. The coordinator replicates the serial scheduler exactly — the
-// same round-robin, the same batch boundaries, the same tick segmentation —
-// but instead of executing each segment it dispatches it, tagged with its
-// global clock position, to the worker owning the job's group. Each group's
-// segments execute in dispatch order on a single worker, and distinct
-// groups share no mutable state between barriers, so every access observes
-// exactly the state and clock it would have observed serially. At each
-// policy tick the coordinator waits for all in-flight work (the epoch
-// barrier), syncs the clock, flushes deferred allocation counters, and runs
-// the tick machinery — promotions, demotions, pressure, shootdowns — alone,
-// in canonical order. Output is therefore byte-identical to runSerial.
-func (m *Machine) runSharded(live []*liveJob, groupOf []int, groups int) {
-	nw := m.cfg.Shards
-	if nw > groups {
-		nw = groups
-	}
-
-	pool := make(chan []trace.Access, nw*2+2)
-	for i := 0; i < cap(pool); i++ {
-		pool <- make([]trace.Access, jobSlice)
-	}
-	var inflight sync.WaitGroup // dispatched-but-unfinished tasks (the barrier)
-	var workers sync.WaitGroup  // worker goroutine lifecycle
-	execs := make([]*executor, nw)
-	queues := make([]chan shardTask, nw)
-	for w := 0; w < nw; w++ {
-		ex := m.newExecutor()
-		execs[w] = ex
+// start launches one worker goroutine per lane.
+func (sh *shardLanes) start() {
+	sh.queues = make([]chan shardTask, len(sh.lanes))
+	for w, ex := range sh.lanes {
+		// Room for many tick-cut segments and completion records, so the
+		// scheduler blocks on the pool, not on a lane's queue.
 		q := make(chan shardTask, 64)
-		queues[w] = q
-		workers.Add(1)
+		sh.queues[w] = q
+		sh.workers.Add(1)
 		go pprof.Do(context.Background(), pprof.Labels("pccsim", "shard-worker", "worker", strconv.Itoa(w)), func(context.Context) {
-			defer workers.Done()
+			defer sh.workers.Done()
 			for t := range q {
 				if t.fin {
-					t.j.Proc.finished = true
-					t.j.Proc.RuntimeCycles = m.maxCycles(t.j.Cores)
+					ex.m.complete(t.j)
 				} else {
 					ex.now = t.start
 					ex.runSeg(t.j.Job, t.seg)
 				}
 				if t.buf != nil {
-					t.freeTo <- t.buf
+					sh.pool <- t.buf
 				}
-				inflight.Done()
+				sh.inflight.Done()
 			}
 		})
 	}
-	dispatch := func(w int, t shardTask) {
-		inflight.Add(1)
-		queues[w] <- t
-	}
-	barrier := func() {
-		inflight.Wait()
-		for _, ex := range execs {
-			ex.flushAllocs()
-		}
-	}
-
-	// Jobs over columnar block streams decode on their own prefetch
-	// goroutine, overlapping decode with simulation; the rest are decoded
-	// synchronously here into pool buffers.
-	prefetch := make([]*blockPrefetcher, len(live))
-	for ji, j := range live {
-		if j.block != nil {
-			prefetch[ji] = newBlockPrefetcher(j.block)
-		}
-	}
-
-	globalNow := m.accessCount
-	tickIfDue := func() {
-		if globalNow >= m.nextTick {
-			m.nextTick += m.cfg.PromotionInterval
-			barrier()
-			m.accessCount = globalNow
-			m.pressureTick()
-			m.lifecycleTick()
-			if m.policy != nil {
-				m.policy.Tick(m)
-			}
-			if m.cfg.AuditEveryTick {
-				m.auditNow("after policy tick")
-			}
-		}
-	}
-	// dispatchSegs slices one decoded batch at tick boundaries and dispatches
-	// the segments to worker w, exactly as the serial scheduler would have
-	// executed them; buf/freeTo ride on the final segment.
-	dispatchSegs := func(w int, j *liveJob, batch, buf []trace.Access, freeTo chan []trace.Access) {
-		for len(batch) > 0 {
-			seg := batch
-			if until := m.nextTick - globalNow; uint64(len(seg)) > until {
-				seg = seg[:until]
-			}
-			batch = batch[len(seg):]
-			t := shardTask{j: j, seg: seg, start: globalNow}
-			if len(batch) == 0 && buf != nil {
-				t.buf, t.freeTo = buf, freeTo
-			}
-			dispatch(w, t)
-			globalNow += uint64(len(seg))
-			tickIfDue()
-		}
-	}
-
-	remaining := len(live)
-	for remaining > 0 {
-		for ji, j := range live {
-			if j.done {
-				continue
-			}
-			w := groupOf[ji] % nw
-			slice := jobSlice
-			for slice > 0 {
-				var n int
-				if pf := prefetch[ji]; pf != nil {
-					seg, done := pf.take(slice)
-					if n = len(seg); n > 0 {
-						slice -= n
-						j.accesses += uint64(n)
-						dispatchSegs(w, j, seg, done, pf.free)
-					}
-				} else {
-					buf := <-pool
-					if n = j.stream.NextBatch(buf[:slice]); n == 0 {
-						pool <- buf
-					} else {
-						slice -= n
-						j.accesses += uint64(n)
-						dispatchSegs(w, j, buf[:n], buf, pool)
-					}
-				}
-				if n == 0 {
-					j.done = true
-					remaining--
-					// The completion record (finished flag, runtime = max
-					// cycles over the job's cores) must observe all of the
-					// group's prior work, so it runs on the group's worker,
-					// behind its queue.
-					dispatch(w, shardTask{j: j, fin: true})
-					break
-				}
-			}
-		}
-	}
-	for _, q := range queues {
-		close(q)
-	}
-	workers.Wait()
-	for _, pf := range prefetch {
-		if pf != nil {
-			// The decode goroutine has already closed out (its stream is
-			// exhausted — that is what completed the job); Wait just pins
-			// the lifecycle for the race detector and leak tests.
-			pf.wg.Wait()
-		}
-	}
-	for _, ex := range execs {
-		ex.flushAllocs()
-	}
-	m.accessCount = globalNow
 }
 
-// runBatch simulates one batch of accesses for j, firing policy ticks at
-// exactly the per-access points the unbatched loop did: the global access
-// clock only advances inside step, so the distance to the next tick bounds
-// a segment that needs no per-access tick check.
-func (m *Machine) runBatch(ex *executor, j *Job, batch []trace.Access) {
-	for len(batch) > 0 {
-		seg := batch
-		if until := m.nextTick - ex.now; uint64(len(seg)) > until {
-			seg = seg[:until]
-		}
-		ex.runSeg(j, seg)
-		batch = batch[len(seg):]
-		if ex.now >= m.nextTick {
-			m.nextTick += m.cfg.PromotionInterval
-			m.accessCount = ex.now
-			ex.flushAllocs()
-			m.pressureTick()
-			m.lifecycleTick()
-			if m.policy != nil {
-				m.policy.Tick(m)
-			}
-			if m.cfg.AuditEveryTick {
-				m.auditNow("after policy tick")
-			}
-		}
+// stop lets the workers drain their queues and exit, then moves the lanes'
+// unflushed base-page allocations into pending without applying them: a stop
+// is not an epoch barrier, so they stay deferred exactly as the serial
+// strategy's would, and State() records the same PendingAllocs.
+func (sh *shardLanes) stop(pending *executor) {
+	for _, q := range sh.queues {
+		close(q)
 	}
+	sh.workers.Wait()
+	sh.queues = nil
+	for _, ex := range sh.lanes {
+		pending.baseAllocs += ex.baseAllocs
+		ex.baseAllocs = 0
+	}
+}
+
+// dispatch queues t on the lane owning job ji.
+func (sh *shardLanes) dispatch(ji int, t shardTask) {
+	sh.inflight.Add(1)
+	sh.queues[sh.laneOf[ji]] <- t
+}
+
+// barrier waits for every dispatched task and applies the lanes' deferred
+// base-page allocations.
+func (sh *shardLanes) barrier() {
+	sh.inflight.Wait()
+	for _, ex := range sh.lanes {
+		ex.flushAllocs()
+	}
+}
+
+// read fills a pool buffer with up to want accesses of j's stream. A block
+// replay decodes an aligned request straight into the buffer.
+func (sh *shardLanes) read(j *liveJob, want int) []trace.Access {
+	buf := <-sh.pool
+	n := j.stream.NextBatch(buf[:want])
+	if n == 0 {
+		sh.pool <- buf
+	}
+	return buf[:n]
+}
+
+// tick runs the policy-tick machinery at an epoch barrier, after the caller
+// has synced m.accessCount and applied every deferred allocation: pressure,
+// process lifecycle, the policy's Tick and the optional audit.
+func (m *Machine) tick() {
+	m.nextTick += m.cfg.PromotionInterval
+	m.pressureTick()
+	m.lifecycleTick()
+	if m.policy != nil {
+		m.policy.Tick(m)
+	}
+	if m.cfg.AuditEveryTick {
+		m.auditNow("after policy tick")
+	}
+}
+
+// complete records j's completion: its process is finished, with the max
+// cycle count over the job's cores as its runtime.
+func (m *Machine) complete(j *liveJob) {
+	j.Proc.finished = true
+	j.Proc.RuntimeCycles = m.maxCycles(j.Cores)
 }
 
 // runSeg advances one tick-free segment of j: single-core segments dispatch

@@ -3,7 +3,9 @@ package vmm
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"pccsim/internal/mem"
 	"pccsim/internal/trace"
@@ -14,7 +16,8 @@ import (
 // next 2MB region, which shoots down translations on every core. Promotions
 // run at epoch barriers, so results must stay byte-identical at any shard
 // count even though the promoted regions are concurrently accessed between
-// barriers.
+// barriers. Its tick count is its policy state, so runs resume across a
+// checkpoint.
 type tickPromotePolicy struct{ n int }
 
 func (p *tickPromotePolicy) Name() string { return "tick-promote" }
@@ -32,6 +35,15 @@ func (p *tickPromotePolicy) Tick(m *Machine) {
 		}
 	}
 	p.n++
+}
+func (p *tickPromotePolicy) PolicyState() any { return p.n }
+func (p *tickPromotePolicy) RestorePolicyState(_ *Machine, st any) error {
+	n, ok := st.(int)
+	if !ok {
+		return fmt.Errorf("tick-promote cannot restore %T", st)
+	}
+	p.n = n
+	return nil
 }
 
 // shardFingerprint collects everything observable about a finished run so
@@ -255,5 +267,30 @@ func TestShardedRunUnderChurn(t *testing.T) {
 	got, _ := run(4)
 	if got != want {
 		t.Errorf("churn run diverges under sharding:\nserial:\n%s\nsharded:\n%s", want, got)
+	}
+}
+
+// TestAbandonedShardedRunLeavesNoGoroutine: a sharded run stopped at a cut
+// and never finished (a snapshot cut's first machine) leaves no worker
+// goroutine behind, because workers live for one RunUntil call.
+func TestAbandonedShardedRunLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m, jobs := shardedSetup().withShards(4).newMachine()
+	if err := m.StartRun(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	if m.sched.shards == nil {
+		t.Fatal("the workload must run under the sharded strategy")
+	}
+	m.RunUntil(6_001)
+	// Workers signal completion just before they return, so give the
+	// runtime a moment to retire them.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 100 && after > before; i++ {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after != before {
+		t.Errorf("goroutines: %d before the run, %d after abandoning it", before, after)
 	}
 }

@@ -132,11 +132,11 @@ type NUMARegionCount struct {
 	Count int
 }
 
-// SchedState is the interruptible runner's position (see RunUntil): which
-// job the round-robin is on, how much of its slice remains, how many
-// accesses each job's stream has consumed, which jobs have completed, and
-// the deferred base-page allocations not yet flushed into physmem. Nil when
-// no run is in progress.
+// SchedState is the scheduler's position (see RunUntil): which job the
+// round-robin is on, how much of its slice remains, how many accesses each
+// job's stream has consumed, which jobs have completed, and the deferred
+// base-page allocations not yet flushed into physmem, summed over every
+// execution lane. Nil when no run is in progress.
 type SchedState struct {
 	JobIdx        int
 	SliceLeft     int

@@ -7,6 +7,7 @@ import (
 
 	"pccsim/internal/mem"
 	"pccsim/internal/tlb"
+	"pccsim/internal/trace"
 )
 
 // Checkpoint/restore equivalence tests: the contract is that a run
@@ -72,6 +73,12 @@ type simSetup struct {
 	build  func(m *Machine) []*Job
 }
 
+// withShards returns the setup with Config.Shards set to n.
+func (s simSetup) withShards(n int) simSetup {
+	s.cfg.Shards = n
+	return s
+}
+
 func (s simSetup) newMachine() (*Machine, []*Job) {
 	var pol Policy
 	if s.policy != nil {
@@ -100,8 +107,9 @@ func runUninterrupted(t *testing.T, s simSetup) (RunResult, MachineState) {
 }
 
 // runWithCheckpoint runs machine A to the cut, captures its state, restores
-// it into a freshly built machine B, and lets B finish the run.
-func runWithCheckpoint(t *testing.T, s simSetup, cut uint64) (RunResult, MachineState) {
+// it into a freshly built machine B, and lets B finish the run. It returns
+// B's result and final state, and the state captured at the cut.
+func runWithCheckpoint(t *testing.T, s simSetup, cut uint64) (RunResult, MachineState, MachineState) {
 	t.Helper()
 	mA, jobsA := s.newMachine()
 	if err := mA.StartRun(jobsA...); err != nil {
@@ -118,32 +126,93 @@ func runWithCheckpoint(t *testing.T, s simSetup, cut uint64) (RunResult, Machine
 		t.Fatalf("cut %d: StartRun(B): %v", cut, err)
 	}
 	res := mB.FinishRun()
-	return res, mB.State()
+	return res, mB.State(), st
 }
 
-func checkResumeEquivalence(t *testing.T, s simSetup, cuts []uint64) {
+// checkResumeEquivalence cuts the run at every cut point, at every given
+// shard count (serial only when none is given). Each resumed run must end
+// with the uninterrupted serial run's RunResult and stripped final state,
+// and the state captured at a cut must be identical at every shard count.
+func checkResumeEquivalence(t *testing.T, s simSetup, cuts []uint64, shards ...int) {
 	t.Helper()
-	wantRes, wantState := runUninterrupted(t, s)
+	if len(shards) == 0 {
+		shards = []int{1}
+	}
+	wantRes, wantState := runUninterrupted(t, s.withShards(1))
 	stripVolatile(&wantState)
 	for _, cut := range cuts {
-		gotRes, gotState := runWithCheckpoint(t, s, cut)
-		if !reflect.DeepEqual(gotRes, wantRes) {
-			t.Errorf("cut %d: RunResult diverged:\ngot  %+v\nwant %+v", cut, gotRes, wantRes)
-		}
-		stripVolatile(&gotState)
-		if !reflect.DeepEqual(gotState, wantState) {
-			t.Errorf("cut %d: final machine state diverged", cut)
+		var firstCut MachineState
+		for i, n := range shards {
+			gotRes, gotState, cutState := runWithCheckpoint(t, s.withShards(n), cut)
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				t.Errorf("shards %d cut %d: RunResult diverged:\ngot  %+v\nwant %+v", n, cut, gotRes, wantRes)
+			}
+			stripVolatile(&gotState)
+			if !reflect.DeepEqual(gotState, wantState) {
+				t.Errorf("shards %d cut %d: final machine state diverged", n, cut)
+			}
+			if i == 0 {
+				firstCut = cutState
+			} else if !reflect.DeepEqual(cutState, firstCut) {
+				t.Errorf("cut %d: state at the cut differs between shards %d and %d", cut, shards[0], n)
+			}
 		}
 	}
 }
 
-// TestStartRunFinishRunMatchesRun: the interruptible runner with no stops is
-// exactly Run — including the raw TLB state, since nothing was invalidated.
-func TestStartRunFinishRunMatchesRun(t *testing.T) {
+// multiJobSetup is a two-job round-robin run under an actively promoting
+// stateful policy: job a has 5120 accesses, job b 6144, 11264 in total.
+func multiJobSetup() simSetup {
+	cfg := testConfig()
+	cfg.Cores = 2
+	cfg.PromotionInterval = 2_000
+	return simSetup{
+		cfg:    cfg,
+		policy: func() Policy { return &statefulTestPolicy{} },
+		build: func(m *Machine) []*Job {
+			pa := m.AddProcess("a", testVMA(2), 10)
+			pb := m.AddProcess("b", testVMA(3), 12)
+			return []*Job{
+				{Proc: pa, Stream: seqStream(pa.Ranges()[0], 5), Cores: []int{0}},
+				{Proc: pb, Stream: seqStream(pb.Ranges()[0], 4), Cores: []int{1}},
+			}
+		},
+	}
+}
+
+// shardedSetup is a two-job, base-fault-only workload in two independent
+// groups, so StartRun picks the sharded strategy at Shards > 1. Job a is a
+// slice of 5120 accesses; job b is a columnar replay of 6144, read in place
+// by the serial strategy and through pool buffers by the sharded one. Ticks
+// fire every 3000 accesses; job a's stream ends at clock 9216 and the run at
+// 11264.
+func shardedSetup() simSetup {
+	cfg := testConfig()
+	cfg.Cores = 2
+	cfg.FragFrac = 0.25
+	cfg.PromotionInterval = 3_000
+	return simSetup{
+		cfg:    cfg,
+		policy: func() Policy { return &tickPromotePolicy{} },
+		build: func(m *Machine) []*Job {
+			pa := m.AddProcess("a", testVMA(2), 10)
+			pb := m.AddProcess("b", testVMA(3), 12)
+			return []*Job{
+				{Proc: pa, Stream: seqStream(pa.Ranges()[0], 5), Cores: []int{0}},
+				{Proc: pb, Stream: trace.RecordBlocks(seqStream(pb.Ranges()[0], 4), 0).Replay(), Cores: []int{1}},
+			}
+		},
+	}
+}
+
+// stopsSingleSetup is a single-job run under an actively promoting stateful
+// policy with the PCC enabled; 6144 accesses, ticks every 2000. A single job
+// always falls back to the serial strategy.
+func stopsSingleSetup() simSetup {
 	cfg := testConfig()
 	cfg.EnablePCC = true
 	cfg.PromotionInterval = 2_000
-	s := simSetup{
+	return simSetup{
 		cfg:    cfg,
 		policy: func() Policy { return &statefulTestPolicy{} },
 		build: func(m *Machine) []*Job {
@@ -151,51 +220,49 @@ func TestStartRunFinishRunMatchesRun(t *testing.T) {
 			return []*Job{{Proc: p, Stream: seqStream(p.Ranges()[0], 3)}}
 		},
 	}
-	wantRes, wantState := runUninterrupted(t, s)
-	m, jobs := s.newMachine()
-	if err := m.StartRun(jobs...); err != nil {
-		t.Fatal(err)
-	}
-	gotRes := m.FinishRun()
-	gotState := m.State()
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Errorf("RunResult diverged:\ngot  %+v\nwant %+v", gotRes, wantRes)
-	}
-	if !reflect.DeepEqual(gotState, wantState) {
-		t.Error("final state diverged (including raw TLB state: no restore happened)")
+}
+
+// checkStopsInvisible runs s at shards {1,4} through StartRun, RunUntil at
+// each stop, and FinishRun, and requires the result and the raw final state
+// — TLB included, since nothing was invalidated — to equal the serial Run's.
+func checkStopsInvisible(t *testing.T, name string, s simSetup, stops []uint64) {
+	t.Helper()
+	wantRes, wantState := runUninterrupted(t, s.withShards(1))
+	for _, shards := range []int{1, 4} {
+		m, jobs := s.withShards(shards).newMachine()
+		if err := m.StartRun(jobs...); err != nil {
+			t.Fatal(err)
+		}
+		for _, stop := range stops {
+			m.RunUntil(stop)
+		}
+		gotRes := m.FinishRun()
+		gotState := m.State()
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("%s shards %d: RunResult diverged:\ngot  %+v\nwant %+v", name, shards, gotRes, wantRes)
+		}
+		if !reflect.DeepEqual(gotState, wantState) {
+			t.Errorf("%s shards %d: final state diverged", name, shards)
+		}
 	}
 }
 
+// TestStartRunFinishRunMatchesRun: the interruptible runner with no stops,
+// under either execution strategy, is exactly the serial Run.
+func TestStartRunFinishRunMatchesRun(t *testing.T) {
+	checkStopsInvisible(t, "single", stopsSingleSetup(), nil)
+	checkStopsInvisible(t, "sharded", shardedSetup(), nil)
+}
+
 // TestRunUntilStopsAreInvisible: pausing at arbitrary points (without any
-// checkpoint/restore) must not perturb the run at all.
+// checkpoint/restore) must not perturb the run at all, under either
+// execution strategy.
 func TestRunUntilStopsAreInvisible(t *testing.T) {
-	cfg := testConfig()
-	cfg.PromotionInterval = 2_000
-	s := simSetup{
-		cfg: cfg,
-		build: func(m *Machine) []*Job {
-			p := m.AddProcess("t", testVMA(4), 10)
-			return []*Job{{Proc: p, Stream: seqStream(p.Ranges()[0], 3)}}
-		},
-	}
-	wantRes, wantState := runUninterrupted(t, s)
-	m, jobs := s.newMachine()
-	if err := m.StartRun(jobs...); err != nil {
-		t.Fatal(err)
-	}
 	// 1 (first access), 97 (mid-batch), 512 (serialChunk edge), 2_000 (tick
 	// edge), 2_001 (one past), 5_000 (mid-run).
-	for _, stop := range []uint64{1, 97, 512, 2_000, 2_001, 5_000} {
-		m.RunUntil(stop)
-	}
-	gotRes := m.FinishRun()
-	gotState := m.State()
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Errorf("RunResult diverged:\ngot  %+v\nwant %+v", gotRes, wantRes)
-	}
-	if !reflect.DeepEqual(gotState, wantState) {
-		t.Error("final state diverged")
-	}
+	checkStopsInvisible(t, "single", stopsSingleSetup(), []uint64{1, 97, 512, 2_000, 2_001, 5_000})
+	// jobSlice edges, a tick edge, job a's end and the exact end.
+	checkStopsInvisible(t, "sharded", shardedSetup(), []uint64{1, 4_095, 4_096, 6_000, 9_216, 11_264})
 }
 
 // TestCheckpointResumeSingleJob sweeps checkpoint cuts across a single-job
@@ -239,27 +306,61 @@ func TestCheckpointResumeUnderPressure(t *testing.T) {
 // TestCheckpointResumeMultiJob sweeps cuts across a two-job round-robin run,
 // including the exact jobSlice rotation edges.
 func TestCheckpointResumeMultiJob(t *testing.T) {
-	cfg := testConfig()
-	cfg.Cores = 2
-	cfg.PromotionInterval = 2_000
-	s := simSetup{
-		cfg:    cfg,
-		policy: func() Policy { return &statefulTestPolicy{} },
-		build: func(m *Machine) []*Job {
-			pa := m.AddProcess("a", testVMA(2), 10)
-			pb := m.AddProcess("b", testVMA(3), 12)
-			return []*Job{
-				{Proc: pa, Stream: seqStream(pa.Ranges()[0], 5), Cores: []int{0}},
-				{Proc: pb, Stream: seqStream(pb.Ranges()[0], 4), Cores: []int{1}},
-			}
-		},
-	}
-	// Job a: 5120 accesses; job b: 6144; total 11264. Cuts cover the
-	// rotation quantum (4096) and its neighbours, a tick edge, the point
-	// where the shorter job finishes, the exact end, and past the end.
-	checkResumeEquivalence(t, s, []uint64{
+	// Cuts cover the rotation quantum (4096) and its neighbours, a tick
+	// edge, the point where the shorter job finishes, the exact end, and
+	// past the end.
+	checkResumeEquivalence(t, multiJobSetup(), []uint64{
 		1, 4_095, 4_096, 4_097, 8_000, 10_240, 11_264, 20_000,
 	})
+}
+
+// TestCheckpointResumeSharded sweeps cuts across a run the sharded strategy
+// executes at Shards 4: the resumed runs must match the uninterrupted serial
+// run, and the state captured at each cut must not depend on the shard
+// count.
+func TestCheckpointResumeSharded(t *testing.T) {
+	// The first access, jobSlice and its neighbours, a tick edge, job a's
+	// end, the exact end and past the end.
+	checkResumeEquivalence(t, shardedSetup(), []uint64{
+		1, 4_095, 4_096, 4_097, 6_000, 9_216, 11_264, 20_000,
+	}, 1, 4)
+}
+
+// TestRunResumesRestoredState: Run on a machine whose RestoreState staged a
+// mid-run scheduler position resumes that run, rather than replaying every
+// stream from access 0 on top of the restored state.
+func TestRunResumesRestoredState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    simSetup
+	}{
+		{"serial", multiJobSetup()},
+		{"sharded", shardedSetup().withShards(4)},
+	} {
+		wantRes, wantState := runUninterrupted(t, tc.s)
+		stripVolatile(&wantState)
+
+		mA, jobsA := tc.s.newMachine()
+		if err := mA.StartRun(jobsA...); err != nil {
+			t.Fatal(err)
+		}
+		mA.RunUntil(4_097)
+		st := mA.State()
+
+		mB, jobsB := tc.s.newMachine()
+		if err := mB.RestoreState(st); err != nil {
+			t.Fatalf("%s: RestoreState: %v", tc.name, err)
+		}
+		gotRes := mB.Run(jobsB...)
+		gotState := mB.State()
+		stripVolatile(&gotState)
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("%s: RunResult diverged:\ngot  %+v\nwant %+v", tc.name, gotRes, wantRes)
+		}
+		if !reflect.DeepEqual(gotState, wantState) {
+			t.Errorf("%s: final machine state diverged", tc.name)
+		}
+	}
 }
 
 // TestCheckpointResumeEveryCutNearTick brute-forces every cut in a window
