@@ -105,42 +105,56 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 }
 
 // Translate looks up page vpn, mapped at the page size with index si (see
-// SizeIndex), and reports where it was found. Every level it misses is
-// filled on the way back: an L2 hit fills the L1, and a full miss — which
-// the caller resolves with a page table walk — fills the L2, then the L1.
+// SizeIndex), and reports where it was found, together with the way of the
+// L1 for si that holds the translation afterwards (an index StampL1 takes).
+// Every level it misses is filled on the way back: an L2 hit fills the L1,
+// and a full miss — which the caller resolves with a page table walk —
+// fills the L2, then the L1.
 //
 // The fill happens before the walk it models, which is sound because a
 // walk never touches the TLB. Each level is probed once: the probe that
 // misses also picks the way the fill replaces, and the set cannot change
 // in between. Ticks, counters and the OnEvict sequence are exactly
 // those of a Lookup miss followed by an Insert at each filled level.
-func (h *Hierarchy) Translate(vpn mem.PageNum, si int) Result {
+func (h *Hierarchy) Translate(vpn mem.PageNum, si int) (Result, int) {
 	h.accesses++
 	tag := tagOf(vpn, si)
 	l1 := h.l1[si]
 	w1, hit := l1.lookup(tag)
 	if hit {
-		return HitL1
+		return HitL1, w1
 	}
 	if si != 2 || h.l2Holds1G {
 		w2, hit := h.l2.lookup(tag)
 		if hit {
 			l1.fill(w1, tag)
-			return HitL2
+			return HitL2, w1
 		}
 		h.l2.fill(w2, tag)
 	}
 	h.walks++
 	l1.fill(w1, tag)
-	return Miss
+	return Miss, w1
+}
+
+// StampL1 replays the recency effect of an L1 hit on page vpn (size index
+// si) at way, a way an earlier Translate returned for it, and reports
+// whether the way still holds that translation. On true the L1 is exactly
+// as a Translate hit would have left it, except that the hit is not
+// counted (callers batch that through CountL1HitsIndexed); on false
+// nothing changed and the caller must run the full Translate. This is how
+// an external translation cache (the vmm translation table) serves an L1
+// hit without the set scan.
+func (h *Hierarchy) StampL1(si, way int, vpn mem.PageNum) bool {
+	return h.l1[si].stamp(way, tagOf(vpn, si))
 }
 
 // CountL1HitsIndexed records n L1 hits for the size class with the given
-// SizeIndex on behalf of an external MRU filter (the vmm step-level L0
-// filter), without probing or re-stamping any entry. The caller guarantees
-// each counted access would have hit the same already-MRU L1 entry, so
-// skipping the scan and the recency refresh is invisible to every
-// replacement decision; only the counters the experiments report move.
+// SizeIndex on behalf of an external translation cache (the vmm register
+// line and translation table), without probing or re-stamping any entry.
+// The caller guarantees each counted access hit an L1 entry whose recency
+// is already current — restamped through StampL1, or already the MRU entry
+// — so only the counters the experiments report move.
 func (h *Hierarchy) CountL1HitsIndexed(si int, n uint64) {
 	h.accesses += n
 	h.l1[si].CountHit(n)

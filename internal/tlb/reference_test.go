@@ -276,12 +276,31 @@ type refOp struct {
 
 func (o refOp) String() string { return fmt.Sprintf("%s(%#x, %#x, %v)", o.kind, o.a, o.b, o.size) }
 
+// stampL1 is the reference for StampL1 followed by a one-hit
+// CountL1HitsIndexed: a Lookup when way holds the translation, else a no-op.
+func (h *oracleHierarchy) stampL1(si, way int, vpn mem.PageNum, size mem.PageSize) bool {
+	l1 := h.l1[si]
+	if !l1.holds(way, vpn, size) {
+		return false
+	}
+	h.accesses++
+	l1.Lookup(vpn, size)
+	return true
+}
+
+// holds reports whether way i holds the translation (vpn, size).
+func (t *oracleTLB) holds(i int, vpn mem.PageNum, size mem.PageSize) bool {
+	return t.vpns[i] == vpn && t.sizes[i] == size
+}
+
 // TestHierarchyMatchesReference drives the packed-tag hierarchy and the
 // two-array oracle with the same random operations — translations (with the
-// oracle's Access → Fill on a miss), single-page invalidations at every
-// level, range shootdowns, flushes and State/SetState round trips — and
-// requires the same Result, a deeply equal HierarchyState (LRU stamps and
-// ticks included) and the same eviction-hook sequence after every step.
+// oracle's Access → Fill on a miss), L1 restamps of ways earlier
+// translations returned, single-page invalidations at every level, range
+// shootdowns, flushes and State/SetState round trips — and requires the
+// same Result, a deeply equal HierarchyState (LRU stamps and ticks
+// included) and the same eviction-hook sequence after every step. The way
+// a translation returns must hold it afterwards.
 func TestHierarchyMatchesReference(t *testing.T) {
 	table2 := DefaultHierarchyConfig()
 	div4 := table2 // the experiments' TLBDivisor 4 shrink
@@ -354,16 +373,25 @@ func runHierarchyVsReference(t *testing.T, cfg HierarchyConfig, seed int64) {
 		}
 		return mem.VirtAddr(rng.Intn(4))<<30 | mem.VirtAddr(rng.Intn(1<<13))<<12
 	}
+	// ways remembers the (page, way) pairs of recent translations, which
+	// the StampL1 op replays — by then some were evicted or invalidated.
+	type wayRef struct {
+		vpn  mem.PageNum
+		size mem.PageSize
+		way  int
+	}
+	var ways [16]wayRef
 	var saved []HierarchyState
-	walks, seen := 0, 0
+	walks, seen, stamped, stale := 0, 0, 0, 0
 	for op := 0; op < 6000; op++ {
 		size := sizes[rng.Intn(len(sizes))]
 		a := addr()
 		var desc refOp
 		switch k := rng.Intn(1000); {
-		case k < 880:
+		case k < 830:
 			desc = refOp{"Translate", uint64(a), 0, size}
-			r := h.Translate(mem.PageNumber(a, size), SizeIndex(size))
+			vpn, si := mem.PageNumber(a, size), SizeIndex(size)
+			r, way := h.Translate(vpn, si)
 			w := o.Access(a, size)
 			if w == Miss {
 				o.Fill(a, size)
@@ -374,6 +402,27 @@ func runHierarchyVsReference(t *testing.T, cfg HierarchyConfig, seed int64) {
 			}
 			if r == Miss && !h.Present(a, size) {
 				t.Fatalf("op %d %s: missed translation not installed", op, desc)
+			}
+			if !o.l1[si].holds(way, vpn, size) {
+				t.Fatalf("op %d %s returned way %d, which does not hold the translation", op, desc, way)
+			}
+			ways[op%len(ways)] = wayRef{vpn, size, way}
+		case k < 880:
+			ref := ways[rng.Intn(len(ways))]
+			if ref.size == 0 {
+				continue
+			}
+			desc = refOp{"StampL1", uint64(ref.vpn), uint64(ref.way), ref.size}
+			si := SizeIndex(ref.size)
+			g := h.StampL1(si, ref.way, ref.vpn)
+			if g {
+				h.CountL1HitsIndexed(si, 1)
+				stamped++
+			} else {
+				stale++
+			}
+			if w := o.stampL1(si, ref.way, ref.vpn, ref.size); g != w {
+				t.Fatalf("op %d %s = %v, reference %v", op, desc, g, w)
 			}
 		case k < 940:
 			vpn := mem.PageNumber(a, size)
@@ -435,7 +484,36 @@ func runHierarchyVsReference(t *testing.T, cfg HierarchyConfig, seed int64) {
 			l2Evictions++
 		}
 	}
-	if walks < 100 || l1Evictions < 100 || l2Evictions < 20 {
-		t.Fatalf("sequence too tame: %d walks, %d L1-4K and %d L2 evictions", walks, l1Evictions, l2Evictions)
+	if walks < 100 || l1Evictions < 100 || l2Evictions < 20 || stamped < 100 || stale < 20 {
+		t.Fatalf("sequence too tame: %d walks, %d L1-4K and %d L2 evictions, %d restamps, %d stale ways",
+			walks, l1Evictions, l2Evictions, stamped, stale)
+	}
+}
+
+// TestSetStateRestoresMRUWay: the MRU hint's way is not part of State, so
+// SetState must recompute it. A structure restored from a state whose MRU
+// entry sits in a nonzero way must report that way from the MRU fast path,
+// and the way must accept a restamp.
+func TestSetStateRestoresMRUWay(t *testing.T) {
+	src := NewHierarchy(DefaultHierarchyConfig())
+	// Three pages of one L1-4K set (16 sets): the last fills way 2 and is
+	// the MRU entry.
+	for _, vpn := range []mem.PageNum{5, 21, 37} {
+		src.Translate(vpn, 0)
+	}
+	h := NewHierarchy(DefaultHierarchyConfig())
+	h.Translate(99, 0) // a stale hint at another way of the fresh structure
+	if err := h.SetState(src.State()); err != nil {
+		t.Fatal(err)
+	}
+	r, way := h.Translate(37, 0)
+	if r != HitL1 || way != 5*4+2 {
+		t.Fatalf("Translate of the restored MRU entry = (%v, way %d), want (L1 hit, way %d)", r, way, 5*4+2)
+	}
+	if !h.StampL1(0, way, 37) {
+		t.Fatal("StampL1 refused the way Translate returned for the restored MRU entry")
+	}
+	if !reflect.DeepEqual(h.State().L1D4K.LRUs, src.State().L1D4K.LRUs) {
+		t.Error("restamping the MRU entry changed LRU stamps")
 	}
 }

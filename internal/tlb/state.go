@@ -79,6 +79,7 @@ func (t *TLB) SetState(s State) error {
 	t.tags = tags
 	copy(t.lrus, s.LRUs)
 	t.mru = mru
+	t.mruWay, _ = t.probe(mru)
 	t.tick = s.Tick
 	t.stats = s.Stats
 	return nil

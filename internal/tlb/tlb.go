@@ -63,8 +63,11 @@ type TLB struct {
 	// and without re-stamping: refreshing an already-MRU entry never
 	// changes within-set LRU order, which keeps every replacement decision
 	// — and therefore every simulation result — bit-identical. A size
-	// code of 0 means no hint.
-	mru uint64
+	// code of 0 means no hint. mruWay is the way holding it, so the fast
+	// path can still report where the entry lives; it is derived state,
+	// recomputed by SetState rather than serialized.
+	mru    uint64
+	mruWay int
 
 	tick  uint64
 	stats Stats
@@ -121,11 +124,6 @@ func (t *TLB) Name() string { return t.name }
 // Entries returns total capacity.
 func (t *TLB) Entries() int { return t.sets * t.ways }
 
-// Sets returns the set count. External MRU filters (the vmm step-level L0
-// translation table) size one slot per set and must index it exactly like
-// set does, so the geometry is part of the structure's contract.
-func (t *TLB) Sets() int { return t.sets }
-
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
@@ -181,14 +179,14 @@ func (t *TLB) lookup(tag uint64) (int, bool) {
 		// still the most recently used way of its set and re-stamping it
 		// would not change LRU order. Count the hit and skip the scan.
 		t.stats.Hits++
-		return 0, true
+		return t.mruWay, true
 	}
 	t.tick++
 	way, hit := t.probe(tag)
 	if hit {
 		t.lrus[way] = t.tick
 		t.stats.Hits++
-		t.mru = tag
+		t.mru, t.mruWay = tag, way
 		return way, true
 	}
 	t.stats.Misses++
@@ -208,7 +206,22 @@ func (t *TLB) fill(way int, tag uint64) {
 	}
 	t.tags[way] = tag
 	t.lrus[way] = t.tick
-	t.mru = tag
+	t.mru, t.mruWay = tag, way
+}
+
+// stamp refreshes the recency of way, which must hold tag, exactly as a
+// lookup hit on it would, without counting the hit. It reports false, and
+// changes nothing, when the way holds any other tag.
+func (t *TLB) stamp(way int, tag uint64) bool {
+	if t.tags[way] != tag {
+		return false
+	}
+	if tag != t.mru {
+		t.tick++
+		t.lrus[way] = t.tick
+		t.mru, t.mruWay = tag, way
+	}
+	return true
 }
 
 // Lookup probes the TLB for (vpn, size). On a hit the entry's recency is
@@ -230,14 +243,13 @@ func (t *TLB) Insert(vpn mem.PageNum, size mem.PageSize) {
 	}
 	t.tick++
 	t.lrus[way] = t.tick
-	t.mru = tag
+	t.mru, t.mruWay = tag, way
 }
 
-// CountHit records a hit for (vpn, size) established by an external MRU
-// filter, without scanning or re-stamping. The caller guarantees the entry
-// is present and most recently used in its set (e.g. the vmm step-level L0
-// filter, which mirrors the fill/shootdown lifecycle of the entry), so the
-// skipped re-stamp cannot change LRU order.
+// CountHit records n hits established outside the structure, without
+// scanning or re-stamping. The caller guarantees each counted access hit
+// an entry that was already stamped (the vmm translation table restamps
+// through StampL1 and counts here), so the counters alone are missing.
 func (t *TLB) CountHit(n uint64) { t.stats.Hits += n }
 
 // Contains reports whether (vpn, size) is cached, without touching LRU

@@ -308,7 +308,8 @@ func TestResultString(t *testing.T) {
 
 // translate runs h.Translate for address a mapped at size (test helper).
 func translate(h *Hierarchy, a mem.VirtAddr, size mem.PageSize) Result {
-	return h.Translate(mem.PageNumber(a, size), SizeIndex(size))
+	r, _ := h.Translate(mem.PageNumber(a, size), SizeIndex(size))
+	return r
 }
 
 // addr4K converts a 4KB page number back to an address (test helper).

@@ -141,7 +141,7 @@ func (m *Machine) Step(gva mem.VirtAddr) {
 
 	cost := m.cfg.BaseCPA
 	si := tlb.SizeIndex(eff)
-	switch m.tlb.Translate(tlb.PageNumber(gva, si), si) {
+	switch r, _ := m.tlb.Translate(tlb.PageNumber(gva, si), si); r {
 	case tlb.HitL1:
 	case tlb.HitL2:
 		cost += m.cfg.Cost.L2TLBHit

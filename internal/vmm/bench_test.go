@@ -96,6 +96,79 @@ func BenchmarkRunStream(b *testing.B) {
 	m.Run(&Job{Proc: p, Stream: trace.Sequential(r.Start, uint64(r.Len()), 64, uint64(b.N))})
 }
 
+// hopStream interleaves sequential 64 B-stride sweeps over 2MB arrays, one
+// access per array in turn, wrapping inside each array. Array i starts 8MB
+// after array i-1, and odd arrays start one 4KB page in: the arrays' 2MB
+// pages then share two L1-2M sets and their current 4KB pages two L1-4K
+// sets, four ways each, so every access but the first to each page hits
+// the L1, and never on the way the previous access stamped — the hop
+// pattern of the graph workloads.
+type hopStream struct {
+	base mem.VirtAddr
+	off  uint64 // byte offset of the current round inside each array
+	next int    // array of the next access
+	left uint64
+}
+
+const hopArrays = 8
+
+func (h *hopStream) addr() mem.VirtAddr {
+	i := uint64(h.next)
+	return h.base + mem.VirtAddr(i<<23+(h.off+i%2<<12)%(1<<21))
+}
+
+func (h *hopStream) Next() (trace.Access, bool) {
+	var one [1]trace.Access
+	if h.NextBatch(one[:]) == 0 {
+		return trace.Access{}, false
+	}
+	return one[0], true
+}
+
+func (h *hopStream) NextBatch(buf []trace.Access) int {
+	n := 0
+	for ; n < len(buf) && h.left > 0; n++ {
+		buf[n] = trace.Access{Addr: h.addr()}
+		h.left--
+		if h.next++; h.next == hopArrays {
+			h.next, h.off = 0, h.off+64
+		}
+	}
+	return n
+}
+
+// benchmarkRunStreamHop runs the hop pattern through Run with every array
+// 4KB-mapped or, with promote set, 2MB-mapped. ns/op is ns per simulated
+// access.
+func benchmarkRunStreamHop(b *testing.B, promote bool) {
+	cfg := DefaultConfig()
+	cfg.Phys = physmem.Config{TotalBytes: 512 << 21, MovableFillRatio: 0.5}
+	cfg.PromotionInterval = 100_000
+	m := NewMachine(cfg, nil)
+	p := m.AddProcess("bench", testVMA(4*hopArrays), 0)
+	base := p.Ranges()[0].Start
+	for i := 0; i < hopArrays; i++ {
+		a := base + mem.VirtAddr(i)<<23
+		// Warm first-touch faults so the timed run measures translation.
+		m.Run(&Job{Proc: p, Stream: trace.Sequential(a, uint64(mem.Page2M), uint64(mem.Page4K), 512)})
+		if promote {
+			if err := m.Promote2M(p, a); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run(&Job{Proc: p, Stream: &hopStream{base: base, left: uint64(b.N)}})
+}
+
+// BenchmarkRunStreamHop is the hop pattern with the arrays promoted (2M)
+// and 4KB-mapped (4K).
+func BenchmarkRunStreamHop(b *testing.B) {
+	b.Run("2M", func(b *testing.B) { benchmarkRunStreamHop(b, true) })
+	b.Run("4K", func(b *testing.B) { benchmarkRunStreamHop(b, false) })
+}
+
 // benchmarkRunSharded measures wall clock for eight independent single-core
 // jobs (eight processes, eight cores) at a given shard budget. Shards=1 is
 // the serial strategy; Shards=8 runs every group on its own goroutine with

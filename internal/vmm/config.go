@@ -154,21 +154,21 @@ type Core struct {
 	// l0Has/l0SI/l0Proc/l0Page4K/l0Cost are line 0 — the single-entry MRU
 	// register line: the process (by ID, so arming stores no pointer and
 	// incurs no write barrier), size-class index, 4KB page and base cycle
-	// cost of the last access this core fully translated. A repeat access
-	// to the same page is by construction an L1 TLB hit on the MRU way of
-	// its set, so the kernels can count and charge it without re-running
-	// the translation pipeline — skipping the recency re-stamp of an
-	// already-MRU entry changes no replacement decision, which keeps
-	// results bit-identical.
+	// cost of the last access this core translated, fully or through the
+	// table. A repeat access to the same page is by construction an L1 TLB
+	// hit on the MRU entry of its L1, so the kernels can count and charge
+	// it without re-running the translation pipeline — skipping the
+	// recency re-stamp of an already-MRU entry changes no replacement
+	// decision, which keeps results bit-identical.
 	//
-	// tt is the persistent software translation table behind it — one slot
-	// per L1 set for the 4KB and 2MB classes, surviving across steps,
-	// segments and Run calls. See transtable.go for the structure and the
-	// soundness argument.
+	// tt is the persistent software translation table behind it — the L1
+	// way of recently translated pages for the 4KB and 2MB classes,
+	// surviving across steps, segments and Run calls. See transtable.go
+	// for the structure and the soundness argument.
 	//
 	// Any shootdown or translation flush invalidates the register line and
 	// the whole table in O(1) via a generation bump (clearL0), so no entry
-	// outlives the TLB entry it mirrors.
+	// outlives the mapping it mirrors.
 	l0Has    bool
 	l0SI     int8
 	l0Proc   int32
@@ -235,7 +235,7 @@ func newCore(id int, cfg Config) *Core {
 		TLB:    tlb.NewHierarchy(cfg.TLB),
 		Walker: ptw.NewWalker(cfg.PWC),
 	}
-	c.tt = newTransTable(c.TLB.L1(mem.Page4K).Sets(), c.TLB.L1(mem.Page2M).Sets())
+	c.tt = newTransTable(c.TLB.L1(mem.Page4K).Entries(), c.TLB.L1(mem.Page2M).Entries())
 	switch {
 	case cfg.UseVictimTracker:
 		c.Victim = pcc.NewVictimTracker(cfg.PCC2M.Entries)

@@ -36,11 +36,9 @@ import (
 //
 // The resulting per-access body carries zero interface calls and no
 // re-checked configuration branches: a register-line hit is one compare and
-// one float add; a translation-table hit is one direct-mapped probe. All
-// integer bookkeeping for a hit run is deferred and flushed before the next
-// full step (or segment end), and the per-4KB touched bits of
-// table-served accesses are folded into deferred contiguous-range flushes
-// (executor.touch) the same way the deferred allocation counters work —
+// one float add; a translation-table hit is one direct-mapped probe plus
+// the restamp of the L1 way it names. All integer bookkeeping for a hit
+// run is deferred and flushed before the next full step (or segment end),
 // while Cycles stays a per-access float add in original order so
 // accumulated runtimes are bit-identical.
 type segKernel func(ex *executor, c *Core, p *Process, seg []trace.Access)
@@ -88,8 +86,10 @@ func segFast(ex *executor, c *Core, p *Process, seg []trace.Access) {
 			ex.flushL0Hits(c, hitSI, hits)
 			hits = 0
 		}
-		if s := &c.tt.slots4K[c.tt.idx4K(vpn)]; s.gen == c.tt.gen && s.page == vpn && s.proc == proc {
-			// Table 4K hit: start a new same-page run without re-entering
+		if s := c.tt.slot4K(vpn); s.gen == c.tt.gen && s.page == vpn && s.proc == proc &&
+			c.TLB.StampL1(0, int(s.way), vpn) {
+			// Table 4K hit: the L1 way still holds the page and has been
+			// restamped; start a new same-page run without re-entering
 			// the full pipeline.
 			cyc += s.cost
 			hits = 1
@@ -97,14 +97,14 @@ func segFast(ex *executor, c *Core, p *Process, seg []trace.Access) {
 			continue
 		}
 		hpn := mem.PageNum(addr >> 21)
-		if s := &c.tt.slots2M[c.tt.idx2M(hpn)]; s.gen == c.tt.gen && s.page == hpn && s.proc == proc {
-			// Table 2M hit: a guaranteed L1-2M hit served without the
-			// pipeline. The access lands on a different 4KB page than
-			// the arming access, so its touched bit (the bloat
-			// metric's input) still needs recording — deferred into
-			// the executor's contiguous-range flush.
+		if s := c.tt.slot2M(hpn); s.gen == c.tt.gen && s.page == hpn && s.proc == proc &&
+			c.TLB.StampL1(1, int(s.way), hpn) {
+			// Table 2M hit: an L1-2M hit served without the pipeline.
+			// The access lands on a different 4KB page than the arming
+			// access, so its touched bit (the bloat metric's input)
+			// still needs recording.
 			v := p.vmaOf(addr)
-			ex.touch(v, uint64(addr-v.r.Start)>>12)
+			v.touched[uint64(addr-v.r.Start)>>12] = true
 			cyc += s.cost
 			hits = 1
 			hitSI, runVPN, runCost = 1, vpn, s.cost
@@ -158,16 +158,18 @@ func segGeneric(ex *executor, c *Core, p *Process, seg []trace.Access) {
 			ex.flushL0Hits(c, hitSI, hits)
 			hits = 0
 		}
-		if s := &c.tt.slots4K[c.tt.idx4K(vpn)]; s.gen == c.tt.gen && s.page == vpn && s.proc == proc {
+		if s := c.tt.slot4K(vpn); s.gen == c.tt.gen && s.page == vpn && s.proc == proc &&
+			c.TLB.StampL1(0, int(s.way), vpn) {
 			cyc += s.cost
 			hits = 1
 			hitSI, runVPN, runCost = 0, vpn, s.cost
 			continue
 		}
 		hpn := mem.PageNum(addr >> 21)
-		if s := &c.tt.slots2M[c.tt.idx2M(hpn)]; s.gen == c.tt.gen && s.page == hpn && s.proc == proc {
+		if s := c.tt.slot2M(hpn); s.gen == c.tt.gen && s.page == hpn && s.proc == proc &&
+			c.TLB.StampL1(1, int(s.way), hpn) {
 			v := p.vmaOf(addr)
-			ex.touch(v, uint64(addr-v.r.Start)>>12)
+			v.touched[uint64(addr-v.r.Start)>>12] = true
 			cyc += s.cost
 			hits = 1
 			hitSI, runVPN, runCost = 1, vpn, s.cost
@@ -207,9 +209,6 @@ func (ex *executor) stepFullFast(c *Core, p *Process, addr mem.VirtAddr) {
 	var size mem.PageSize
 	var si int
 	if st := v.state[idx]; st != stateUnmapped {
-		// Touched bits are monotone (false→true only), so the full path
-		// stores directly — cheaper than joining the executor's deferred
-		// run, and always coherent with it.
 		v.touched[idx] = true
 		switch st {
 		case state2M:
@@ -226,7 +225,8 @@ func (ex *executor) stepFullFast(c *Core, p *Process, addr mem.VirtAddr) {
 	cost := ex.effCPA
 	baseCost := cost
 
-	switch c.TLB.Translate(tlb.PageNumber(addr, si), si) {
+	r, way := c.TLB.Translate(tlb.PageNumber(addr, si), si)
+	switch r {
 	case tlb.HitL1:
 	case tlb.HitL2:
 		cost += ex.cL2Hit
@@ -243,16 +243,14 @@ func (ex *executor) stepFullFast(c *Core, p *Process, addr mem.VirtAddr) {
 	}
 	c.Cycles += cost
 
-	armL0(c, p, addr, si, baseCost)
+	armL0(c, p, addr, si, way, baseCost)
 }
 
 // faultPath is the cold unmapped-page branch shared by the full-translation
-// routines: it flushes the deferred touch run and marks the page touched
-// immediately (policy fault hooks may inspect touched state, so the bit must
-// land before the fault exactly as it always has), faults, and re-reads
-// the mapping the fault established.
+// routines: it marks the page touched before the fault (policy fault hooks
+// may inspect touched state, so the bit must land first exactly as it
+// always has), faults, and re-reads the mapping the fault established.
 func (ex *executor) faultPath(c *Core, p *Process, v *vma, idx uint64, addr mem.VirtAddr) (mem.PageSize, int) {
-	ex.flushTouch()
 	v.touched[idx] = true
 	ex.fault(c, p, addr)
 	s, mapped := p.StateOf(addr)
@@ -295,58 +293,19 @@ func (ex *executor) recordWalk(c *Core, info ptw.WalkInfo, size mem.PageSize, ad
 
 // armL0 records the completed translation in the register line and, for the
 // widened classes, the persistent translation table: whichever path ran,
-// the translation this access used is now the MRU way of its L1 set, so a
-// repeat is an L1 hit at the base (no-TLB-miss) cost.
-func armL0(c *Core, p *Process, addr mem.VirtAddr, si int, baseCost float64) {
+// the translation this access used is now the MRU entry of its L1, held in
+// way, so a repeat is an L1 hit at the base (no-TLB-miss) cost.
+func armL0(c *Core, p *Process, addr mem.VirtAddr, si, way int, baseCost float64) {
 	vpn4k := mem.PageNum(addr >> 12)
 	proc := int32(p.ID)
 	c.l0Has, c.l0SI, c.l0Proc, c.l0Page4K, c.l0Cost = true, int8(si), proc, vpn4k, baseCost
 	switch si {
 	case 0:
-		c.tt.slots4K[c.tt.idx4K(vpn4k)] = transSlot{page: vpn4k, cost: baseCost, proc: proc, gen: c.tt.gen}
+		*c.tt.slot4K(vpn4k) = transSlot{page: vpn4k, cost: baseCost, proc: proc, gen: c.tt.gen, way: int32(way)}
 	case 1:
 		hpn := mem.PageNum(addr >> 21)
-		c.tt.slots2M[c.tt.idx2M(hpn)] = transSlot{page: hpn, cost: baseCost, proc: proc, gen: c.tt.gen}
+		*c.tt.slot2M(hpn) = transSlot{page: hpn, cost: baseCost, proc: proc, gen: c.tt.gen, way: int32(way)}
 	}
-}
-
-// touch defers the touched-bit store for the 4KB page at index idx of v:
-// consecutive indexes extend the pending run, anything else flushes it. It
-// serves the table-2M hit paths, where sequential sweeps inside a promoted
-// region — the dominant pattern — collapse a whole segment's touched stores
-// into one contiguous fill. The full-translation paths store their bit
-// directly instead: touched bits are monotone (false→true only), so direct
-// stores and deferred runs compose in any order. The run is flushed at
-// every segment end and before any reader (faults flush explicitly; audits,
-// policy ticks and state capture all happen at segment boundaries), so no
-// observer can see a deferred bit missing.
-func (ex *executor) touch(v *vma, idx uint64) {
-	if v == ex.tV {
-		switch {
-		case idx == ex.tHi+1:
-			ex.tHi = idx
-			return
-		case idx >= ex.tLo && idx <= ex.tHi:
-			return
-		case idx+1 == ex.tLo:
-			ex.tLo = idx
-			return
-		}
-	}
-	ex.flushTouch()
-	ex.tV, ex.tLo, ex.tHi = v, idx, idx
-}
-
-// flushTouch applies the pending touched-bit run.
-func (ex *executor) flushTouch() {
-	if ex.tV == nil {
-		return
-	}
-	t := ex.tV.touched[ex.tLo : ex.tHi+1]
-	for i := range t {
-		t[i] = true
-	}
-	ex.tV = nil
 }
 
 // panicOutsideVMA reports an access outside every VMA: a wild pointer the

@@ -91,15 +91,13 @@ type liveJob struct {
 
 // executor owns the per-access mutable state of one execution lane: the
 // global access clock position, the deferred base-page allocation counter,
-// the deferred touched-bit run, and a flattened copy of the cost model so
-// the kernels never chase the config pointer. The scheduler's own executor
-// holds the global clock and executes every segment under the serial
-// strategy; the sharded strategy gives each lane its own, setting now per
-// dispatched segment so every access observes exactly the clock value the
-// serial interleaving would have given it. Deferred allocations are pure
-// commutative counters and are flushed into physmem at every policy tick
-// and at the end of a run; deferred touches flush at every segment end and
-// before any fault.
+// and a flattened copy of the cost model so the kernels never chase the
+// config pointer. The scheduler's own executor holds the global clock and
+// executes every segment under the serial strategy; the sharded strategy
+// gives each lane its own, setting now per dispatched segment so every
+// access observes exactly the clock value the serial interleaving would
+// have given it. Deferred allocations are pure commutative counters and
+// are flushed into physmem at every policy tick and at the end of a run.
 type executor struct {
 	m          *Machine
 	now        uint64 // global simulated-access clock (pre-increment)
@@ -116,11 +114,6 @@ type executor struct {
 	// effCPA is the running segment's base cycles-per-access (the process's
 	// BaseCPA or the config default), resolved once per segment in runSeg.
 	effCPA float64
-
-	// Deferred touched-bit run: 4KB page indexes [tLo, tHi] of tV awaiting
-	// touched = true (see executor.touch).
-	tV       *vma
-	tLo, tHi uint64
 }
 
 // newExecutor builds an execution lane with the machine's cost model
@@ -418,10 +411,9 @@ func (m *Machine) complete(j *liveJob) {
 // runSeg advances one tick-free segment of j: single-core segments dispatch
 // to the machine's monomorphized kernel (resolved once at machine build —
 // see kernels.go), multi-core segments run the per-access step with the
-// thread-to-core dispatch inline. Deferred per-segment state — the
-// touched-bit run and the cores' buffered PCC records — flushes on exit,
-// so everything that runs between segments (ticks, audits, state capture)
-// observes fully-applied state.
+// thread-to-core dispatch inline. Deferred per-segment state — the cores'
+// buffered PCC records — flushes on exit, so everything that runs between
+// segments (ticks, audits, state capture) observes fully-applied state.
 func (ex *executor) runSeg(j *Job, seg []trace.Access) {
 	if ex.effCPA = j.Proc.BaseCPA; ex.effCPA == 0 {
 		ex.effCPA = ex.cBase
@@ -429,14 +421,12 @@ func (ex *executor) runSeg(j *Job, seg []trace.Access) {
 	if len(j.Cores) == 1 {
 		c := ex.m.cores[j.Cores[0]]
 		ex.m.kern(ex, c, j.Proc, seg)
-		ex.flushTouch()
 		c.flushPCC()
 		return
 	}
 	for i := range seg {
 		ex.step(ex.m.cores[j.Cores[seg[i].Thread%len(j.Cores)]], j.Proc, seg[i].Addr)
 	}
-	ex.flushTouch()
 	for _, ci := range j.Cores {
 		ex.m.cores[ci].flushPCC()
 	}
@@ -473,8 +463,10 @@ func (ex *executor) step(c *Core, p *Process, addr mem.VirtAddr) {
 		}
 		return
 	}
-	if s := &c.tt.slots4K[c.tt.idx4K(vpn)]; s.gen == c.tt.gen && s.page == vpn && s.proc == proc {
-		// Table 4K hit: the page is still the MRU way of its L1-4K set.
+	if s := c.tt.slot4K(vpn); s.gen == c.tt.gen && s.page == vpn && s.proc == proc &&
+		c.TLB.StampL1(0, int(s.way), vpn) {
+		// Table 4K hit: the L1-4K way still holds the page and has been
+		// restamped.
 		ex.now++
 		c.Accesses++
 		c.TLB.CountL1HitsIndexed(0, 1)
@@ -486,15 +478,16 @@ func (ex *executor) step(c *Core, p *Process, addr mem.VirtAddr) {
 		return
 	}
 	hpn := mem.PageNum(addr >> 21)
-	if s := &c.tt.slots2M[c.tt.idx2M(hpn)]; s.gen == c.tt.gen && s.page == hpn && s.proc == proc {
-		// Table 2M hit: a guaranteed L1-2M hit; only the 4KB page's
-		// touched bit still needs recording.
+	if s := c.tt.slot2M(hpn); s.gen == c.tt.gen && s.page == hpn && s.proc == proc &&
+		c.TLB.StampL1(1, int(s.way), hpn) {
+		// Table 2M hit: an L1-2M hit; only the 4KB page's touched bit
+		// still needs recording.
 		ex.now++
 		c.Accesses++
 		c.TLB.CountL1HitsIndexed(1, 1)
 		c.Cycles += s.cost
 		v := p.vmaOf(addr)
-		ex.touch(v, uint64(addr-v.r.Start)>>12)
+		v.touched[uint64(addr-v.r.Start)>>12] = true
 		c.l0Has, c.l0SI, c.l0Proc, c.l0Page4K, c.l0Cost = true, 1, proc, vpn, s.cost
 		if ex.mlpOn {
 			c.walkBurst = 0
@@ -553,7 +546,8 @@ func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 	}
 	baseCost := cost
 
-	switch c.TLB.Translate(tlb.PageNumber(addr, si), si) {
+	r, way := c.TLB.Translate(tlb.PageNumber(addr, si), si)
+	switch r {
 	case tlb.HitL1:
 		if ex.mlpOn {
 			c.walkBurst = 0
@@ -589,5 +583,5 @@ func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 	}
 	c.Cycles += cost
 
-	armL0(c, p, addr, si, baseCost)
+	armL0(c, p, addr, si, way, baseCost)
 }

@@ -24,14 +24,13 @@ import (
 // Two pieces of hot-path state are deliberately NOT serialized, with an
 // invalidate-on-restore rule instead:
 //
-//   - The per-core L0 step filter (single-entry MRU + wide 4KB table).
-//     RestoreState clears it (clearL0), which is always sound: an access the
-//     uninterrupted run would have served from the filter re-runs the full
-//     pipeline on resume, hits the L1 TLB on the MRU way of its set (that is
-//     the filter's arming invariant), charges the same cost, bumps the same
-//     counters, and re-arms the filter. The only divergence is each TLB's
-//     internal recency tick advancing, which no output, metric or audit
-//     observes.
+//   - The per-core register line and translation table. RestoreState
+//     clears them (clearL0), which is always sound: an access the
+//     uninterrupted run would have served from them re-runs the full
+//     pipeline on resume, hits the L1 TLB on the same way, applies the
+//     same recency stamp (a table hit restamps exactly as Translate
+//     does), charges the same cost, bumps the same counters, and re-arms
+//     the table.
 //
 //   - Each process's lastVMA lookup cache, which only memoizes a pure
 //     function of the access address.

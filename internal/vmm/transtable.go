@@ -5,35 +5,44 @@ import (
 )
 
 // transTable is a core's persistent software translation table: a
-// direct-mapped, generation-validated cache of the last translation the
-// core performed per L1 TLB set, for both the 4KB and the 2MB size class.
+// direct-mapped, generation-validated cache of the L1 TLB way that holds
+// each recently translated page, for both the 4KB and the 2MB size class.
 // It is the widened, persistent form of the step-level L0 filter (the
 // single-entry register line on Core remains line 0 in front of it) and is
 // the Victima-inspired move of backing translation reach with a
 // cache-resident software structure instead of re-running the TLB pipeline.
 //
-// Soundness rests on one invariant: every full translation leaves its entry
-// as the most-recently-used way of its L1 TLB set, and the only event that
-// can displace that recency is another full translation that overwrites the
-// same table slot (slots are indexed exactly like the L1 set index, one per
-// set). A slot match therefore proves the translation is still the MRU way
-// of its set — a guaranteed L1 hit — and skipping the recency re-stamp of
-// an already-MRU entry changes no replacement decision, so counting the hit
-// without probing keeps results bit-identical. The table survives across
-// steps, segments and Run calls; it is invalidated in O(1) by bumping gen
-// (never a clear loop) on any shootdown, demotion, translation flush or
-// snapshot restore, so no slot outlives the TLB entry it mirrors.
+// A slot serves an access when its generation, page and process match and
+// the L1 way it names still holds the page's tag — the live-tag check,
+// which tlb.Hierarchy.StampL1 performs while it replays the hit's recency
+// stamp. Soundness rests on two facts:
 //
-// Slot keying per class:
-//   - 4K: the exact 4KB virtual page number, one slot per L1-4K set.
-//   - 2M: the 2MB huge-page number (addr>>21), one slot per L1-2M set. A
-//     2M hit still serves a *different* 4KB page than the arming access, so
-//     the hit path must mark the page touched (the bloat metric depends on
-//     per-4KB touched bits); the cached cost is safe because the NUMA
-//     penalty is constant within a 2MB region (placement is per region) and
-//     the arming access already performed the region's first-touch
-//     placement. noteUse2M is only recorded on L1-miss paths, so a
-//     filter-served L1 hit correctly skips it.
+//   - Every L1 fill comes from a full translation, and every full
+//     translation re-arms the slot of its page (armL0) with the way
+//     Translate returned. So while a slot survives, the way it names has
+//     held the page since this process armed it, or holds another tag and
+//     fails the check: an entry can only come back through a fill, which
+//     re-arms the slot.
+//   - The generation is bumped in O(1) (never a clear loop) on any
+//     shootdown, demotion, translation flush or snapshot restore, so a
+//     surviving slot also proves the page's mapping, size and cost have not
+//     changed since it was armed.
+//
+// A slot hit is therefore an L1 hit on that way, and the restamp leaves
+// the TLB exactly as Translate would have: results stay bit-identical
+// whichever way of its set the entry sits in. The table survives across
+// steps, segments and Run calls.
+//
+// Slot keying per class, direct-mapped by page:
+//   - 4K: the exact 4KB virtual page number.
+//   - 2M: the 2MB huge-page number (addr>>21). A 2M hit still serves a
+//     *different* 4KB page than the arming access, so the hit path must
+//     mark the page touched (the bloat metric depends on per-4KB touched
+//     bits); the cached cost is safe because the NUMA penalty is constant
+//     within a 2MB region (placement is per region) and the arming access
+//     already performed the region's first-touch placement. noteUse2M is
+//     only recorded on L1-miss paths, so a table-served L1 hit correctly
+//     skips it.
 //
 // 1GB translations keep only the register line: they would need yet another
 // slot array, and the workloads that reach 1GB mappings either run inside
@@ -41,10 +50,8 @@ import (
 type transTable struct {
 	slots4K []transSlot
 	slots2M []transSlot
-	mask4K  uint64 // sets-1 for power-of-two set counts, else 0
-	sets4K  uint64
-	mask2M  uint64
-	sets2M  uint64
+	shift4K uint // 64 - log2(len(slots4K)): see slotIndex
+	shift2M uint
 	gen     uint32
 }
 
@@ -52,48 +59,60 @@ type transTable struct {
 // page number (4K class) or 2MB huge-page number (2M class) of the arming
 // access, cost its base (no-TLB-miss) cycles-per-access including any NUMA
 // penalty, proc the owning process ID (stored by value so arming incurs no
-// write barrier), and gen the table generation at arming time — stale
-// generations are invalid, which is what makes invalidation O(1).
+// write barrier), way the L1 way Translate returned for it, and gen the
+// table generation at arming time — stale generations are invalid, which
+// is what makes invalidation O(1).
 type transSlot struct {
 	page mem.PageNum
 	cost float64
 	proc int32
 	gen  uint32
+	way  int32
 }
 
-// newTransTable sizes the table to the core's L1 TLB geometry: one slot per
-// L1-4K set and one per L1-2M set.
-func newTransTable(sets4K, sets2M int) transTable {
-	t := transTable{
-		slots4K: make([]transSlot, sets4K),
-		slots2M: make([]transSlot, sets2M),
-		sets4K:  uint64(sets4K),
-		sets2M:  uint64(sets2M),
+// transSlotsPerEntry sizes each class's slot array against its L1: slots
+// are the smallest power of two with at least this many per L1 entry, so
+// the pages the L1 holds rarely collide in the direct-mapped table.
+const transSlotsPerEntry = 4
+
+// newTransTable sizes the table to the core's L1 TLB capacities.
+func newTransTable(entries4K, entries2M int) transTable {
+	bits4K, bits2M := slotBits(entries4K), slotBits(entries2M)
+	return transTable{
+		slots4K: make([]transSlot, 1<<bits4K),
+		slots2M: make([]transSlot, 1<<bits2M),
+		shift4K: 64 - bits4K,
+		shift2M: 64 - bits2M,
 		gen:     1,
 	}
-	if sets4K&(sets4K-1) == 0 {
-		t.mask4K = uint64(sets4K - 1)
-	}
-	if sets2M&(sets2M-1) == 0 {
-		t.mask2M = uint64(sets2M - 1)
-	}
-	return t
 }
 
-// idx4K mirrors the L1-4K TLB's setIndex.
-func (t *transTable) idx4K(vpn mem.PageNum) uint64 {
-	if m := t.mask4K; m != 0 || t.sets4K == 1 {
-		return uint64(vpn) & m
+// slotBits returns log2 of the slot-array length for an L1 of the given
+// entries.
+func slotBits(entries int) uint {
+	b := uint(0)
+	for 1<<b < transSlotsPerEntry*entries {
+		b++
 	}
-	return uint64(vpn) % t.sets4K
+	return b
 }
 
-// idx2M mirrors the L1-2M TLB's setIndex.
-func (t *transTable) idx2M(hpn mem.PageNum) uint64 {
-	if m := t.mask2M; m != 0 || t.sets2M == 1 {
-		return uint64(hpn) & m
-	}
-	return uint64(hpn) % t.sets2M
+// slotIndex maps a page number to its slot by Fibonacci hashing: the top
+// bits of page times 2^64/phi. Unlike the page's low bits, this spreads
+// the pages of arrays whose bases share their low bits (2MB-aligned
+// allocations, power-of-two strides) across the table.
+func slotIndex(page mem.PageNum, shift uint) uint64 {
+	return uint64(page) * 0x9E3779B97F4A7C15 >> shift
+}
+
+// slot4K returns the slot of 4KB page vpn.
+func (t *transTable) slot4K(vpn mem.PageNum) *transSlot {
+	return &t.slots4K[slotIndex(vpn, t.shift4K)]
+}
+
+// slot2M returns the slot of 2MB page hpn.
+func (t *transTable) slot2M(hpn mem.PageNum) *transSlot {
+	return &t.slots2M[slotIndex(hpn, t.shift2M)]
 }
 
 // invalidate drops every slot in O(1) by bumping the generation. On the

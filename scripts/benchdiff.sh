@@ -6,7 +6,7 @@
 # Usage:
 #   scripts/benchdiff.sh <ref> [bench-regex] [packages...]
 #
-# Defaults: bench-regex 'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|Translate|PCCRecord|ReplayDecode',
+# Defaults: bench-regex 'Step|RunStream|RunSharded|EmitChunk|Walk|Hierarchy|TLBAccess|Translate|PCCRecord|ReplayDecode',
 # packages ./internal/vmm ./internal/workloads ./internal/tlb ./internal/ptw
 # ./internal/pcc ./internal/trace. Examples:
 #
@@ -29,7 +29,7 @@
 set -eu
 
 ref=${1:?usage: scripts/benchdiff.sh <ref> [bench-regex] [packages...]}
-regex=${2:-'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|Translate|PCCRecord|ReplayDecode'}
+regex=${2:-'Step|RunStream|RunSharded|EmitChunk|Walk|Hierarchy|TLBAccess|Translate|PCCRecord|ReplayDecode'}
 if [ $# -ge 2 ]; then shift 2; else shift $#; fi
 pkgs=${*:-"./internal/vmm ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc ./internal/trace"}
 benchtime=${BENCHTIME:-2s}
